@@ -182,7 +182,6 @@ pub fn fig11_hetero(model: &MllmConfig, output_tokens: usize) -> Fig11Report {
         .iter()
         .map(|&p| (p, baseline.phase_seconds(&workload, p)))
         .collect();
-    let base_total: f64 = base_per_phase.iter().map(|(_, s)| s).sum();
 
     let speedups = |per_phase: &[(Phase, f64)]| -> Vec<(Phase, f64)> {
         per_phase
@@ -210,7 +209,6 @@ pub fn fig11_hetero(model: &MllmConfig, output_tokens: usize) -> Fig11Report {
         ClusterKind::ComputeCentric,
         ClusterKind::MemoryCentric,
     );
-    let _ = base_total;
     Fig11Report {
         homo_cc: speedups(&cc_phases),
         homo_mc: speedups(&mc_phases),

@@ -5,6 +5,10 @@
 //! A tiny row-major [`Matrix`] plus free [`gemm`]/[`gemv`] functions keep
 //! those experiments dependency-free; the cycle-accurate numerics live in
 //! `edgemm-coproc`.
+//!
+//! Both kernels stream the weight matrix row by row, as EdgeMM's hardware
+//! does: a pruned (zero) input's weight row is never read, and a kept row
+//! is read contiguously. The result is bit-identical to the scalar loop.
 
 use edgemm_core::float::is_zero_f32;
 
@@ -99,95 +103,76 @@ impl Matrix {
     }
 }
 
-/// Column-block width of the unrolled [`gemm`]/[`gemv`] inner loops: each
-/// block keeps one independent scalar accumulator per output column in
-/// registers, so per-element accumulation order (ascending `k`) — and with
-/// it the exact f32 result — matches the straight scalar loop bit for bit.
-const LANES: usize = 4;
+/// Kept weight rows folded into the outputs per pass of [`accumulate_rows`].
+const GROUP: usize = 4;
 
-/// Dense GEMM: `A (m x k) * B (k x n) -> (m x n)`.
+/// The row-streaming core of [`gemm`] and [`gemv`]: `out += x · W`, where
+/// `w` is a row-major `x.len() x out.len()` matrix.
+///
+/// Rows are read in ascending `k`; a row whose input is exactly zero is
+/// never read. Kept rows are folded in groups of [`GROUP`] as
+/// `o = o + x0*w0 + x1*w1 + …`, evaluated left to right (so each output is
+/// loaded and stored once per group), then the leftover rows one at a time.
+/// Each output element thus adds its nonzero products in ascending `k` with
+/// the scalar loop's roundings — no fused multiply-add, no reassociation —
+/// and the result is bit-identical to it. Skipping zero rows whole is part
+/// of that: `0 · ∞` and `0 · NaN` are NaN, and adding a `+0` product would
+/// turn a `-0.0` in `out` into `+0.0`.
+fn accumulate_rows(x: &[f32], w: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    let row = |k: usize| &w[k * n..][..n];
+    let mut kept = [0usize; GROUP];
+    let mut held = 0;
+    for (k, &xk) in x.iter().enumerate() {
+        if is_zero_f32(xk) {
+            continue;
+        }
+        kept[held] = k;
+        held += 1;
+        if held == GROUP {
+            held = 0;
+            let [k0, k1, k2, k3] = kept;
+            let (x0, x1, x2, x3) = (x[k0], x[k1], x[k2], x[k3]);
+            let (w0, w1, w2, w3) = (row(k0), row(k1), row(k2), row(k3));
+            for (j, o) in out.iter_mut().enumerate() {
+                *o = *o + x0 * w0[j] + x1 * w1[j] + x2 * w2[j] + x3 * w3[j];
+            }
+        }
+    }
+    for &k in &kept[..held] {
+        let xk = x[k];
+        for (o, &wv) in out.iter_mut().zip(row(k)) {
+            *o += xk * wv;
+        }
+    }
+}
+
+/// Dense GEMM: `A (m x k) * B (k x n) -> (m x n)`, streaming the rows of
+/// `B` once per row of `A` and skipping those whose `A` entry is zero.
 ///
 /// # Panics
 ///
 /// Panics if the inner dimensions disagree.
 pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Matrix::zeros(m, n);
-    for i in 0..m {
-        let arow = &a.data[i * k..(i + 1) * k];
-        let orow = &mut out.data[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + LANES <= n {
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for (kk, &aik) in arow.iter().enumerate() {
-                if is_zero_f32(aik) {
-                    continue;
-                }
-                let brow = &b.data[kk * n + j..kk * n + j + LANES];
-                s0 += aik * brow[0];
-                s1 += aik * brow[1];
-                s2 += aik * brow[2];
-                s3 += aik * brow[3];
-            }
-            orow[j] = s0;
-            orow[j + 1] = s1;
-            orow[j + 2] = s2;
-            orow[j + 3] = s3;
-            j += LANES;
-        }
-        while j < n {
-            let mut s = 0.0f32;
-            for (kk, &aik) in arow.iter().enumerate() {
-                if !is_zero_f32(aik) {
-                    s += aik * b.data[kk * n + j];
-                }
-            }
-            orow[j] = s;
-            j += 1;
-        }
+    let (k, n) = (a.cols(), b.cols());
+    let mut out = Matrix::zeros(a.rows(), n);
+    for (arow, orow) in a.data.chunks_exact(k).zip(out.data.chunks_exact_mut(n)) {
+        accumulate_rows(arow, &b.data, orow);
     }
     out
 }
 
-/// Dense GEMV: `x (len k) * B (k x n) -> (len n)`.
+/// Dense GEMV: `x (len k) * B (k x n) -> (len n)`, streaming the rows of
+/// `B` whose input is nonzero.
 ///
 /// # Panics
 ///
 /// Panics if `x.len() != b.rows()`.
 pub fn gemv(x: &[f32], b: &Matrix) -> Vec<f32> {
     assert_eq!(x.len(), b.rows(), "vector length must match matrix rows");
-    let n = b.cols();
-    let mut out = vec![0.0f32; n];
-    let mut j = 0;
-    while j + LANES <= n {
-        let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        for (kk, &xv) in x.iter().enumerate() {
-            if is_zero_f32(xv) {
-                continue;
-            }
-            let brow = &b.data[kk * n + j..kk * n + j + LANES];
-            s0 += xv * brow[0];
-            s1 += xv * brow[1];
-            s2 += xv * brow[2];
-            s3 += xv * brow[3];
-        }
-        out[j] = s0;
-        out[j + 1] = s1;
-        out[j + 2] = s2;
-        out[j + 3] = s3;
-        j += LANES;
-    }
-    while j < n {
-        let mut s = 0.0f32;
-        for (kk, &xv) in x.iter().enumerate() {
-            if !is_zero_f32(xv) {
-                s += xv * b.data[kk * n + j];
-            }
-        }
-        out[j] = s;
-        j += 1;
-    }
+    let mut out = vec![0.0f32; b.cols()];
+    accumulate_rows(x, &b.data, &mut out);
     out
 }
 
@@ -196,23 +181,10 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The straight (pre-unrolling) scalar loops, kept as the bit-exact
-    /// oracle for the blocked kernels.
+    /// The straight scalar loops: the bit-exact oracles of the kernels.
     fn gemm_scalar(a: &Matrix, b: &Matrix) -> Matrix {
-        let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            for kk in 0..k {
-                let aik = a.get(i, kk);
-                if is_zero_f32(aik) {
-                    continue;
-                }
-                for j in 0..n {
-                    out.data[i * n + j] += aik * b.data[kk * n + j];
-                }
-            }
-        }
-        out
+        let rows = a.data.chunks_exact(a.cols).flat_map(|x| gemv_scalar(x, b));
+        Matrix::from_vec(a.rows, b.cols, rows.collect())
     }
 
     fn gemv_scalar(x: &[f32], b: &Matrix) -> Vec<f32> {
@@ -229,25 +201,30 @@ mod tests {
         out
     }
 
-    /// Pseudo-random fill with exact zeros sprinkled in, so the zero-skip
-    /// fast path is exercised by the equality tests.
-    fn fill(rows: usize, cols: usize, seed: u64) -> Matrix {
+    /// Pseudo-random fill with exact zeros sprinkled in and in columns
+    /// `zeros`. Values are not dyadic, so reordered or fused adds round
+    /// differently and the equality tests catch them.
+    fn fill(rows: usize, cols: usize, seed: u64, zeros: std::ops::Range<usize>) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
             let v = (r * cols + c) as u64 ^ seed.wrapping_mul(0x9e3779b97f4a7c15);
-            if v % 5 == 0 {
+            if v % 5 == 0 || zeros.contains(&c) {
                 0.0
             } else {
-                (v % 23) as f32 * 0.125 - 1.25
+                (v % 23) as f32 * 0.1 - 1.15
             }
         })
     }
 
+    /// Bit patterns: equality then tells `-0.0` from `0.0`.
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn unrolled_gemm_is_bit_identical_on_awkward_shapes() {
-        // Odd rows/cols, single-row, single-column, sub-lane widths — every
-        // remainder path of the 4-wide blocking.
-        for &(m, k, n) in &[
-            (3usize, 5usize, 7usize),
+        // Odd sizes, single row or column, fewer kept rows than one group.
+        for (m, k, n) in [
+            (3, 5, 7),
             (1, 9, 13),
             (7, 3, 1),
             (1, 1, 1),
@@ -255,23 +232,40 @@ mod tests {
             (5, 7, 4),
             (4, 4, 8),
         ] {
-            let a = fill(m, k, 17);
-            let b = fill(k, n, 91);
-            assert_eq!(
-                gemm(&a, &b).as_slice(),
-                gemm_scalar(&a, &b).as_slice(),
-                "shape {m}x{k}x{n}"
-            );
+            let (a, b) = (fill(m, k, 17, 0..0), fill(k, n, 91, 0..0));
+            let (streamed, scalar) = (gemm(&a, &b), gemm_scalar(&a, &b));
+            assert_eq!(bits(&streamed.data), bits(&scalar.data), "{m}x{k}x{n}");
         }
     }
 
     #[test]
     fn unrolled_gemv_is_bit_identical_on_awkward_shapes() {
-        for &(k, n) in &[(5usize, 7usize), (1, 13), (9, 1), (1, 1), (3, 4), (8, 6)] {
-            let x: Vec<f32> = fill(1, k, 29).as_slice().to_vec();
-            let b = fill(k, n, 57);
-            assert_eq!(gemv(&x, &b), gemv_scalar(&x, &b), "shape {k}x{n}");
+        for (k, n) in [(5, 7), (1, 13), (9, 1), (1, 1), (3, 4), (8, 6), (40, 6)] {
+            let x = fill(1, k, 29, 0..0).data;
+            let b = fill(k, n, 57, 0..0);
+            assert_eq!(bits(&gemv(&x, &b)), bits(&gemv_scalar(&x, &b)), "{k}x{n}");
         }
+    }
+
+    #[test]
+    fn zero_inputs_never_touch_their_weight_rows() {
+        // 0 * inf and 0 * NaN are NaN, so multiplying through a zero input
+        // would poison the outputs. Ten kept rows: two groups and two left
+        // over, between zeros of both signs.
+        let x = [
+            0.0, 0.7, -1.3, -0.0, 2.1, 0.4, 0.0, -0.9, 1.1, -0.0, 0.6, -1.7, 0.0, 0.8, 1.9, -0.0,
+        ];
+        let b = Matrix::from_fn(16, 6, |r, c| match is_zero_f32(x[r]) {
+            true => [f32::INFINITY, f32::NAN][c % 2],
+            false => 0.1 * (r * 6 + c) as f32 - 4.0,
+        });
+        let out = gemv(&x, &b);
+        assert!(out.iter().all(|v| v.is_finite()), "{out:?}");
+        assert_eq!(bits(&out), bits(&gemv_scalar(&x, &b)));
+        let a = Matrix::from_vec(1, 16, x.to_vec());
+        assert_eq!(bits(&gemm(&a, &b).data), bits(&out));
+        let zeros = [0.0; 16];
+        assert_eq!(bits(&gemv(&zeros, &b)), bits(&[0.0; 6]), "all-zero input");
     }
 
     #[test]
@@ -325,31 +319,36 @@ mod tests {
     }
 
     proptest! {
-        /// The blocked GEMM equals the scalar loop exactly on random shapes.
+        /// The row-streaming GEMM equals the scalar loop bit for bit on
+        /// random shapes: up to ten full row groups, any remainder, and a
+        /// run of zero inputs in every row of `A` (at times all of them).
         #[test]
         fn unrolled_gemm_bit_identical_random(
             m in 1usize..12,
-            k in 1usize..12,
+            k in 1usize..41,
             n in 1usize..12,
+            zero_from in 0usize..41,
+            zero_len in 0usize..41,
             seed in 0u64..1000,
         ) {
-            let a = fill(m, k, seed);
-            let b = fill(k, n, seed.wrapping_add(1));
-            let blocked = gemm(&a, &b);
-            let scalar = gemm_scalar(&a, &b);
-            prop_assert_eq!(blocked.as_slice(), scalar.as_slice());
+            let a = fill(m, k, seed, zero_from..zero_from + zero_len);
+            let b = fill(k, n, seed.wrapping_add(1), 0..0);
+            prop_assert_eq!(bits(&gemm(&a, &b).data), bits(&gemm_scalar(&a, &b).data));
         }
 
-        /// The blocked GEMV equals the scalar loop exactly on random shapes.
+        /// The row-streaming GEMV equals the scalar loop bit for bit on
+        /// the same kind of input.
         #[test]
         fn unrolled_gemv_bit_identical_random(
-            k in 1usize..16,
-            n in 1usize..16,
+            k in 1usize..41,
+            n in 1usize..24,
+            zero_from in 0usize..41,
+            zero_len in 0usize..41,
             seed in 0u64..1000,
         ) {
-            let x: Vec<f32> = fill(1, k, seed).as_slice().to_vec();
-            let b = fill(k, n, seed.wrapping_add(2));
-            prop_assert_eq!(gemv(&x, &b), gemv_scalar(&x, &b));
+            let x = fill(1, k, seed, zero_from..zero_from + zero_len).data;
+            let b = fill(k, n, seed.wrapping_add(2), 0..0);
+            prop_assert_eq!(bits(&gemv(&x, &b)), bits(&gemv_scalar(&x, &b)));
         }
 
         /// GEMV is linear: gemv(a*x + b*y) == a*gemv(x) + b*gemv(y).

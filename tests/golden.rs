@@ -9,7 +9,7 @@
 //! and copy the printed values) *and* call the change out in the PR, so the
 //! reproduction never drifts silently away from the paper.
 
-use edgemm::figures::{fig11_hetero, table1_models, table2_gpu_comparison};
+use edgemm::figures::{fig11_hetero, fig12_pruning, table1_models, table2_gpu_comparison};
 use edgemm::serve::{merge, AdmissionControl, PolicyKind, Priority, ServeReport, TraceConfig};
 use edgemm::units::{Bytes, Tokens};
 use edgemm::{EdgeMm, FleetReport, RequestOptions, RoutingKind, ServeOptions};
@@ -87,6 +87,24 @@ fn golden_pruning_keep_ratio_and_latency() {
     );
     let report = system.run(&workload, RequestOptions::default());
     assert_close("system.latency_s", report.latency_s, 5.418655280000e-1);
+}
+
+/// Fig. 12 at the report binary's shape (SPHINX-Tiny's 2048 x 5632 FFN,
+/// seed 7), pinned exactly: FNV-1a-64 over the report's `Debug` bytes
+/// covers every per-layer kurtosis, pruning ratio and cosine series at full
+/// precision, so any change to the functional GEMV's rounding shows here.
+#[test]
+fn golden_fig12_report_digest() {
+    let report = fig12_pruning(&zoo::sphinx_tiny(), 2048, 5632, 7);
+    let digest = edgemm::mem::fnv1a_64(format!("{report:?}").as_bytes());
+    if probing() {
+        println!("fig12.report_digest = {digest:#018x}");
+        return;
+    }
+    assert_eq!(
+        digest, 0x95a0_617c_1e01_5eb6,
+        "fig12 report digest drifted to {digest:#018x}"
+    );
 }
 
 /// One SLO sweep point, pinned: mixed interactive + background traffic at a
