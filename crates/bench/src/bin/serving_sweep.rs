@@ -454,14 +454,13 @@ fn fleet_rows(system: &EdgeMm, smoke: bool, pool: &Pool) -> Vec<String> {
     pool.par_map(&points, |_, &(replicas, kind)| {
         let report = system.serve_fleet(&model, &trace, replicas, kind, options);
         format!(
-            "{:>9} {:>16} {:>6.1} {:>8} {:>9.2} {:>8.2}s {:>6}",
+            "{:>9} {:>16} {:>6.1} {:>8} {:>9.2} {:>8.2}s",
             replicas,
             kind.name(),
             report.slo_attainment() * 100.0,
             report.restarted_prefill_tokens(),
             report.load_imbalance(),
             report.makespan_s,
-            report.stale_completions,
         )
     })
 }
@@ -473,8 +472,8 @@ fn fleet_sweep(rows: &[String], smoke: bool) {
          {total} multi-tenant requests, 8 MiB paged KV + sharing per replica) =="
     );
     println!(
-        "{:>9} {:>16} {:>6} {:>8} {:>9} {:>9} {:>6}",
-        "replicas", "routing", "att%", "restart", "imbal", "makespan", "stale"
+        "{:>9} {:>16} {:>6} {:>8} {:>9} {:>9}",
+        "replicas", "routing", "att%", "restart", "imbal", "makespan"
     );
     for row in rows {
         println!("{row}");
@@ -482,8 +481,8 @@ fn fleet_sweep(rows: &[String], smoke: bool) {
     println!(
         "\n(restart = re-prefilled tokens summed over replicas — duplicated tenant \
          prefixes overflow the paged\n pools and evict; imbal = max replica share x \
-         replica count (1.0 = perfectly even); stale = superseded\n completion events \
-         the gateway lazily discarded. docs/fleet.md walks the 16-replica row by hand.)"
+         replica count (1.0 = perfectly even).\n docs/fleet.md walks the 16-replica row \
+         by hand.)"
     );
 }
 
@@ -612,8 +611,9 @@ fn bench_json(system: &EdgeMm, sweep: &Sweep, smoke: bool) {
     }
     // The fleet entry: the golden 16-replica routing point through every
     // policy per repeat. Routing rebuilds each replica's simulator per
-    // serve, so this times the whole gateway path (dispatch, projection,
-    // completion events), not just the inner serve loop.
+    // serve, so this times the whole gateway path (replica views at every
+    // arrival, routing, each replica's serve), not just the inner serve
+    // loop.
     let fleet_trace = fleet_trace(smoke);
     let fleet_replicas = if smoke { 4 } else { 16 };
     let fleet_options = fleet_options();

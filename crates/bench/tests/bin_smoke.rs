@@ -150,7 +150,6 @@ fn serving_sweep() {
         "power-of-two",
         "prefix-affinity",
         "restart",
-        "stale",
     ] {
         assert!(
             fleet.contains(marker),

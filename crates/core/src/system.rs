@@ -494,10 +494,10 @@ impl EdgeMm {
     }
 
     /// Serve `requests` across a homogeneous fleet of `replicas` copies of
-    /// this system behind a routed gateway (see `edgemm_fleet`): arrivals,
-    /// dispatches and per-replica drains interleave on one fleet clock, and
-    /// `routing` picks each request's replica from per-replica load
-    /// projections at its arrival instant. Every replica serves under these
+    /// this system behind a routed gateway (see `edgemm_fleet`): every
+    /// replica's engine advances on one fleet clock, and `routing` picks
+    /// each request's replica from the replicas' live load at its arrival
+    /// instant. Every replica serves under these
     /// same `options` (policy, admission, memory model).
     ///
     /// A fleet of one replica is byte-identical to [`Self::serve`] under

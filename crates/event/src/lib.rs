@@ -2,17 +2,12 @@
 //!
 //! The serve loop used to find "what happens next" by min-scanning every
 //! queue it owns (`order`, `cc_queue`, the decode batch) on every
-//! iteration. This crate replaces those scans with the classic
-//! discrete-event pair:
-//!
-//! * [`Clock`] — a monotonic cycle counter. Time only moves forward;
-//!   attempting to rewind is a logic error and panics.
-//! * [`EventQueue`] — a binary min-heap of `(Cycles, seq, E)` entries.
-//!   `seq` is a per-queue insertion counter, so two events scheduled for
-//!   the same cycle pop in the order they were pushed. That makes the pop
-//!   order a pure function of the push sequence — the property the
-//!   differential harness in `tests/properties.rs` pins against the
-//!   reference engine.
+//! iteration. This crate replaces those scans with [`EventQueue`]: a
+//! binary min-heap of `(Cycles, seq, E)` entries. `seq` is a per-queue
+//! insertion counter, so two events scheduled for the same cycle pop in
+//! the order they were pushed. That makes the pop order a pure function of
+//! the push sequence — the property the differential harness in
+//! `tests/properties.rs` pins against the reference engine.
 //!
 //! The queue deliberately knows nothing about what an event *is*: `E` needs
 //! no `Ord`, no `Hash`, nothing. Ordering lives entirely in the
@@ -26,45 +21,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use edgemm_core::units::Cycles;
-
-/// A monotonic cycle clock.
-///
-/// Starts at zero. [`Clock::advance_to`] only moves forward; a backwards
-/// move is a scheduling bug (an event was popped out of order) and panics
-/// rather than silently corrupting the timeline.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Clock {
-    now: Cycles,
-}
-
-impl Clock {
-    /// A clock at cycle zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The current cycle.
-    pub fn now(self) -> Cycles {
-        self.now
-    }
-
-    /// Advances the clock to `cycle`.
-    ///
-    /// Advancing to the current cycle is a no-op (events at the current
-    /// cycle are legal); moving backwards panics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycle` is earlier than the current cycle.
-    pub fn advance_to(&mut self, cycle: Cycles) {
-        assert!(
-            cycle >= self.now,
-            "clock moved backwards: {cycle:?} < {:?}",
-            self.now
-        );
-        self.now = cycle;
-    }
-}
 
 /// One scheduled entry: the key is `(cycle, seq)`, the payload is opaque.
 #[derive(Debug)]
@@ -181,23 +137,6 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clock_starts_at_zero_and_advances() {
-        let mut clock = Clock::new();
-        assert_eq!(clock.now(), Cycles::new(0));
-        clock.advance_to(Cycles::new(5));
-        clock.advance_to(Cycles::new(5));
-        assert_eq!(clock.now(), Cycles::new(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "clock moved backwards")]
-    fn clock_refuses_to_rewind() {
-        let mut clock = Clock::new();
-        clock.advance_to(Cycles::new(5));
-        clock.advance_to(Cycles::new(4));
-    }
 
     #[test]
     fn events_pop_earliest_first() {

@@ -1,60 +1,47 @@
-//! The fleet gateway: one event-driven dispatch loop over N replicas.
+//! The fleet gateway: N resumable serve engines stepped on one clock.
 //!
-//! Every replica is a full [`ServeSimulator`] (the PR 8 heap engine) over
-//! its own machine; the gateway owns a [`Clock`] + [`EventQueue`] pair from
-//! `edgemm-event` — the same discrete-event core the chip-level engine runs
-//! on — and interleaves three kinds of happenings on that single fleet
-//! clock:
+//! Every replica is a [`ServeSimulator`] over its own machine, run as a
+//! resumable [`ServeEngine`]. The gateway walks the trace in fleet-clock
+//! order — `(fleet cycle, submission index)` on a fixed 1 GHz tick — and
+//! for each arrival:
 //!
-//! 1. **Arrival**: a request reaches the gateway at its trace arrival time.
-//! 2. **Dispatch**: the [`RoutePolicy`] picks a
-//!    replica from the per-replica load projection at the arrival instant
-//!    (dispatch is instantaneous: it happens at the arrival's cycle, after
-//!    the arrival pops).
-//! 3. **Completion**: a replica drains its queue. Each dispatch schedules a
-//!    completion event at the replica's newly projected drain time; an
-//!    event scheduled before a later dispatch carries a stale generation
-//!    tag and is ignored when popped (the queue has no cancellation — this
-//!    is the same lazy-invalidation idiom the chip engine uses for
-//!    reschedulable work).
+//! 1. **Views**: advances every replica's engine *through* the arrival
+//!    instant and reads its live load — requests in flight and resident KV
+//!    bytes — into a [`ReplicaView`].
+//! 2. **Routing**: the [`RoutePolicy`] picks a replica from those views.
+//! 3. **Dispatch**: the request is pushed into the chosen engine.
 //!
-//! ## Why re-simulation is the load model
+//! Once the trace is exhausted every engine drains, and its report is the
+//! replica's [`ServeReport`] in the [`FleetReport`].
 //!
-//! A replica's "current load" is not tracked incrementally: after every
-//! dispatch the replica's whole assigned sub-trace is re-served through its
-//! persistent simulator + scratch (the PR 9 session-reuse machinery makes
-//! this cheap), and the resulting [`ServeReport`] *is* the projection the
-//! next routing decision reads — in-flight depth and resident KV bytes are
-//! evaluated from it at the fleet clock. This buys two properties worth the
-//! O(n²/2R) re-serve cost: the projection is exactly what the replica will
-//! report (no drift between a shadow model and the engine), and the final
-//! per-replica report is byte-identical to a one-shot serve of the same
-//! sub-trace — which is what pins a fleet of one to the single-machine
-//! engine, byte for byte.
+//! ## Live replica state as the load model
+//!
+//! A view at instant `t` reads an engine that has processed every event at
+//! a model time ≤ `t` — including the processing at `t` of requests already
+//! routed at `t`. An engine's state at `t` depends only on requests
+//! arriving at or before `t`, so nothing routed later changes what a view
+//! saw: each view is exactly what a full serve of the replica's sub-trace
+//! shows at `t`, and each final report is byte-identical to a one-shot
+//! serve of that sub-trace (which pins a fleet of one to the
+//! single-machine engine, byte for byte). The one case the engine cannot
+//! take in its stride is a request arriving at or before its target's
+//! last processed event — a same-instant burst routed after the target
+//! already ran that instant's events. The engine then replays: it resets
+//! and re-pushes its requests, and the next advance re-processes them
+//! (see [`ServeEngine::push`]).
 
 use edgemm_core::units::Cycles;
-use edgemm_event::{Clock, EventQueue};
-use edgemm_serve::{PolicyKind, ServeReport, ServeRequest, ServeScratch, ServeSimulator};
+use edgemm_serve::{
+    PolicyKind, ServeEngine, ServeReport, ServeRequest, ServeScratch, ServeSimulator,
+};
 
 use crate::report::FleetReport;
 use crate::route::{ReplicaView, RoutePolicy};
 
 /// Resolution of the fleet clock: cycles per second. Replica engines run at
 /// their own chip clocks; the gateway only needs a common timeline to order
-/// arrivals and drains on, so it uses a fixed 1 GHz tick (nanoseconds).
+/// arrivals on, so it uses a fixed 1 GHz tick (nanoseconds).
 pub const FLEET_CLOCK_HZ: f64 = 1.0e9;
-
-/// What the gateway's event queue carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FleetEvent {
-    /// Request `requests[i]` reaches the gateway.
-    Arrival(usize),
-    /// Replica `replica` drains everything dispatched to it by the
-    /// dispatch numbered `generation` (the length of its sub-trace when
-    /// the event was scheduled). Stale if the replica has been dispatched
-    /// to since.
-    Completion { replica: usize, generation: usize },
-}
 
 /// One serving replica handed to the gateway: a configured simulator plus
 /// the scheduling policy its own CC/MC pipeline runs under. Replicas may be
@@ -64,95 +51,28 @@ enum FleetEvent {
 pub struct FleetReplica<'a> {
     simulator: ServeSimulator<'a>,
     policy: PolicyKind,
+    /// The replica's run state, reused across [`FleetGateway::serve`] calls.
+    scratch: ServeScratch,
 }
 
 impl<'a> FleetReplica<'a> {
     /// A replica serving through `simulator` under `policy`.
     pub fn new(simulator: ServeSimulator<'a>, policy: PolicyKind) -> Self {
-        FleetReplica { simulator, policy }
-    }
-}
-
-/// A replica plus the gateway's per-replica dispatch state.
-#[derive(Debug)]
-struct ReplicaState<'a> {
-    simulator: ServeSimulator<'a>,
-    policy: PolicyKind,
-    scratch: ServeScratch,
-    /// Original trace indices dispatched here, kept sorted ascending so the
-    /// sub-trace preserves the caller's submission order (what makes a
-    /// fleet of one serve exactly the caller's slice).
-    assigned: Vec<usize>,
-    /// The sub-trace itself, index-aligned with `assigned`.
-    subtrace: Vec<ServeRequest>,
-    /// Projection of the current sub-trace through the replica engine.
-    report: ServeReport,
-}
-
-impl ReplicaState<'_> {
-    /// Insert original-trace request `idx` keeping submission order.
-    fn assign(&mut self, idx: usize, request: ServeRequest) {
-        let pos = self.assigned.partition_point(|&i| i < idx);
-        self.assigned.insert(pos, idx);
-        self.subtrace.insert(pos, request);
-    }
-
-    /// Re-serve the sub-trace through the persistent engine, refreshing the
-    /// projection the next routing decision (and the final report) reads.
-    fn project(&mut self) {
-        self.report = self.simulator.run_with_scratch(
-            &self.subtrace,
-            self.policy.policy(),
-            &mut self.scratch,
-        );
-    }
-
-    /// Absolute model time at which the replica has finished (completed or
-    /// rejected) everything dispatched so far; 0 for an idle replica.
-    fn drain_s(&self) -> f64 {
-        let finishes = self.report.completed.iter().map(|r| r.finish_s);
-        let rejects = self.report.rejected.iter().map(|r| r.reject_s);
-        finishes.chain(rejects).fold(0.0, f64::max)
-    }
-
-    /// The replica's load as seen at fleet time `now_s`.
-    fn view(&self, replica: usize, now_s: f64) -> ReplicaView {
-        let finished = self
-            .report
-            .completed
-            .iter()
-            .filter(|r| r.finish_s <= now_s)
-            .count()
-            + self
-                .report
-                .rejected
-                .iter()
-                .filter(|r| r.reject_s <= now_s)
-                .count();
-        let kv_bytes = self
-            .report
-            .queue_samples
-            .iter()
-            .take_while(|s| s.time_s <= now_s)
-            .last()
-            .map(|s| s.kv_bytes)
-            .unwrap_or_default();
-        ReplicaView {
-            replica,
-            dispatched: self.assigned.len(),
-            in_flight: self.assigned.len() - finished,
-            kv_bytes,
+        FleetReplica {
+            simulator,
+            policy,
+            scratch: ServeScratch::new(),
         }
     }
 }
 
 /// The routed multi-replica gateway. Build one from replicas, then
 /// [`serve`](Self::serve) traces through it; replica pricing caches and
-/// scratch persist across calls (the fleet-level analogue of a
-/// `ServeSession`), while all dispatch state is per-call.
+/// scratch allocations persist across calls (the fleet-level analogue of a
+/// `ServeSession`), while all run state is per call.
 #[derive(Debug)]
 pub struct FleetGateway<'a> {
-    replicas: Vec<ReplicaState<'a>>,
+    replicas: Vec<FleetReplica<'a>>,
 }
 
 impl<'a> FleetGateway<'a> {
@@ -163,25 +83,7 @@ impl<'a> FleetGateway<'a> {
     /// Panics if `replicas` is empty.
     pub fn new(replicas: Vec<FleetReplica<'a>>) -> Self {
         assert!(!replicas.is_empty(), "a fleet needs at least one replica");
-        FleetGateway {
-            replicas: replicas
-                .into_iter()
-                .map(|r| {
-                    let mut scratch = ServeScratch::new();
-                    let report = r
-                        .simulator
-                        .run_with_scratch(&[], r.policy.policy(), &mut scratch);
-                    ReplicaState {
-                        simulator: r.simulator,
-                        policy: r.policy,
-                        scratch,
-                        assigned: Vec::new(),
-                        subtrace: Vec::new(),
-                        report,
-                    }
-                })
-                .collect(),
-        }
+        FleetGateway { replicas }
     }
 
     /// Number of replicas behind the gateway.
@@ -191,13 +93,11 @@ impl<'a> FleetGateway<'a> {
 
     /// Serve `requests` across the fleet under `routing`.
     ///
-    /// Arrivals are processed in fleet-clock order (same-instant arrivals
-    /// in submission order, via the event queue's same-cycle FIFO
-    /// guarantee); each is routed exactly once, against views projected at
-    /// its arrival instant, and the dispatched replica is immediately
-    /// re-projected so the next decision sees it. The returned
-    /// [`FleetReport`] carries each replica's final report — byte-identical
-    /// to a one-shot serve of that replica's sub-trace.
+    /// Arrivals are routed in fleet-clock order, same-instant arrivals in
+    /// submission order. Each is routed exactly once, against views of the
+    /// replicas' live state at its arrival instant (see the module docs).
+    /// The returned [`FleetReport`] carries each replica's final report —
+    /// byte-identical to a one-shot serve of that replica's sub-trace.
     ///
     /// # Panics
     ///
@@ -208,82 +108,75 @@ impl<'a> FleetGateway<'a> {
         requests: &[ServeRequest],
         routing: &mut dyn RoutePolicy,
     ) -> FleetReport {
-        for replica in &mut self.replicas {
-            replica.assigned.clear();
-            replica.subtrace.clear();
-            replica.project();
-        }
-        let mut clock = Clock::new();
-        let mut events = EventQueue::new();
-        for (i, request) in requests.iter().enumerate() {
-            assert!(
-                request.arrival_s >= 0.0 && request.arrival_s.is_finite(),
-                "request {} arrives at invalid time {}",
-                request.id,
-                request.arrival_s
-            );
-            events.push(
-                Cycles::from_seconds_round(request.arrival_s, FLEET_CLOCK_HZ),
-                FleetEvent::Arrival(i),
-            );
-        }
+        let mut arrivals: Vec<(Cycles, usize)> = requests
+            .iter()
+            .enumerate()
+            .map(|(i, request)| {
+                assert!(
+                    request.arrival_s >= 0.0 && request.arrival_s.is_finite(),
+                    "request {} arrives at invalid time {}",
+                    request.id,
+                    request.arrival_s
+                );
+                (
+                    Cycles::from_seconds_round(request.arrival_s, FLEET_CLOCK_HZ),
+                    i,
+                )
+            })
+            .collect();
+        arrivals.sort_unstable();
+        let mut engines: Vec<ServeEngine<'_, 'a>> = self
+            .replicas
+            .iter_mut()
+            .map(|r| r.simulator.engine(r.policy.policy(), &mut r.scratch))
+            .collect();
         let mut assignments = vec![0usize; requests.len()];
-        let mut routed = vec![false; requests.len()];
-        let mut completion_events = 0u64;
-        let mut stale_completions = 0u64;
-        while let Some((cycle, event)) = events.pop() {
-            clock.advance_to(cycle);
-            match event {
-                FleetEvent::Arrival(i) => {
-                    let now_s = cycle.seconds_at(FLEET_CLOCK_HZ);
-                    let views: Vec<ReplicaView> = self
-                        .replicas
-                        .iter()
-                        .enumerate()
-                        .map(|(k, r)| r.view(k, now_s))
-                        .collect();
-                    let target = routing.route(&requests[i], &views);
-                    assert!(
-                        target < self.replicas.len(),
-                        "routing policy `{}` returned replica {} of {}",
-                        routing.name(),
-                        target,
-                        self.replicas.len()
-                    );
-                    assert!(!routed[i], "request {} routed twice", requests[i].id);
-                    routed[i] = true;
-                    assignments[i] = target;
-                    let replica = &mut self.replicas[target];
-                    replica.assign(i, requests[i]);
-                    replica.project();
-                    let drain = Cycles::from_seconds_round(replica.drain_s(), FLEET_CLOCK_HZ);
-                    events.push(
-                        drain.max(cycle),
-                        FleetEvent::Completion {
-                            replica: target,
-                            generation: replica.assigned.len(),
-                        },
-                    );
-                }
-                FleetEvent::Completion {
-                    replica,
-                    generation,
-                } => {
-                    if generation == self.replicas[replica].assigned.len() {
-                        completion_events += 1;
-                    } else {
-                        stale_completions += 1;
+        for &(cycle, i) in &arrivals {
+            let now_s = cycle.seconds_at(FLEET_CLOCK_HZ);
+            let views: Vec<ReplicaView> = engines
+                .iter_mut()
+                .enumerate()
+                .map(|(replica, engine)| {
+                    engine.advance_until(now_s);
+                    ReplicaView {
+                        replica,
+                        dispatched: engine.pushed(),
+                        in_flight: engine.in_flight(),
+                        kv_bytes: engine.kv_bytes(),
                     }
-                }
-            }
+                })
+                .collect();
+            let target = routing.route(&requests[i], &views);
+            assert!(
+                target < engines.len(),
+                "routing policy `{}` returned replica {} of {}",
+                routing.name(),
+                target,
+                engines.len()
+            );
+            assignments[i] = target;
+            engines[target].push(&requests[i]);
         }
-        debug_assert!(routed.iter().all(|&r| r), "every request was routed");
+        let replicas: Vec<ServeReport> = engines.into_iter().map(ServeEngine::finish).collect();
+        // The fleet drains when the last arrival is routed and the last
+        // replica has finished (completed or rejected) its last request.
+        let last_arrival = arrivals.last().map_or(Cycles::ZERO, |&(cycle, _)| cycle);
+        let makespan = replicas
+            .iter()
+            .map(|report| {
+                let finishes = report.completed.iter().map(|r| r.finish_s);
+                let rejects = report.rejected.iter().map(|r| r.reject_s);
+                let drain_s = finishes.chain(rejects).fold(0.0, f64::max);
+                Cycles::from_seconds_round(drain_s, FLEET_CLOCK_HZ)
+            })
+            .fold(last_arrival, Cycles::max);
+        let busy_replicas = replicas.iter().filter(|r| r.submitted() > 0).count();
         FleetReport {
-            replicas: self.replicas.iter().map(|r| r.report.clone()).collect(),
+            replicas,
             assignments,
-            completion_events,
-            stale_completions,
-            makespan_s: clock.now().seconds_at(FLEET_CLOCK_HZ),
+            completion_events: u64::try_from(busy_replicas).unwrap_or(u64::MAX),
+            stale_completions: 0,
+            makespan_s: makespan.seconds_at(FLEET_CLOCK_HZ),
         }
     }
 }
@@ -291,7 +184,7 @@ impl<'a> FleetGateway<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::{LeastKvLoaded, PrefixAffinity, RoundRobin, RoutingKind};
+    use crate::route::{LeastKvLoaded, RoundRobin, RoutingKind};
     use edgemm_mllm::zoo;
     use edgemm_serve::{ServeConfig, TraceConfig};
     use edgemm_sim::{Machine, SimConfig};
@@ -339,12 +232,14 @@ mod tests {
                 "{}",
                 kind.name()
             );
+            let busy = report.replicas.iter().filter(|r| r.submitted() > 0).count();
             assert_eq!(
-                report.completion_events + report.stale_completions,
-                u64::try_from(trace.len()).expect("fits"),
+                report.completion_events,
+                u64::try_from(busy).expect("fits"),
                 "{}",
                 kind.name()
             );
+            assert_eq!(report.stale_completions, 0, "{}", kind.name());
         }
     }
 
@@ -372,17 +267,99 @@ mod tests {
     }
 
     #[test]
-    fn a_later_dispatch_stales_the_pending_completion() {
+    fn retired_event_counters_count_busy_replicas_and_no_stale_events() {
         let m = machine();
-        // Two requests far apart in time on one replica: the first drain
-        // completion pops current (the replica really is idle in between);
-        // with both close together the first is staled by the second
-        // dispatch before it pops.
-        let near = TraceConfig::saturated(2, 16, 4).generate();
-        let mut gateway = FleetGateway::new(vec![replica(&m)]);
-        let report = gateway.serve(&near, &mut PrefixAffinity::new());
-        assert_eq!(report.stale_completions, 1);
-        assert_eq!(report.completion_events, 1);
+        // Round-robin hands two requests to the first two of three
+        // replicas: two replicas served requests, one stayed idle.
+        let pair = TraceConfig::saturated(2, 16, 4).generate();
+        let mut gateway = FleetGateway::new(vec![replica(&m), replica(&m), replica(&m)]);
+        let report = gateway.serve(&pair, &mut RoundRobin::new());
+        assert_eq!(report.assignments, vec![0, 1]);
+        assert_eq!(report.completion_events, 2);
+        assert_eq!(report.stale_completions, 0);
+        let empty = gateway.serve(&[], &mut RoundRobin::new());
+        assert_eq!(empty.completion_events, 0);
+        assert_eq!(empty.stale_completions, 0);
+        assert_eq!(empty.makespan_s, 0.0);
+    }
+
+    /// Least-KV routing that records every view it routes on.
+    #[derive(Debug, Default)]
+    struct RecordingLeastKv {
+        seen: Vec<(f64, Vec<ReplicaView>)>,
+    }
+
+    impl RoutePolicy for RecordingLeastKv {
+        fn name(&self) -> &'static str {
+            "recording-least-kv"
+        }
+
+        fn route(&mut self, request: &ServeRequest, views: &[ReplicaView]) -> usize {
+            let now = Cycles::from_seconds_round(request.arrival_s, FLEET_CLOCK_HZ);
+            self.seen
+                .push((now.seconds_at(FLEET_CLOCK_HZ), views.to_vec()));
+            LeastKvLoaded.route(request, views)
+        }
+    }
+
+    #[test]
+    fn live_views_match_the_final_reports_at_every_routing_instant() {
+        // Causality: a replica's load at instant t, read from its live
+        // engine, is what its final report shows at t — completions and
+        // rejections at or before t are finished, and the resident KV is
+        // that of its last sample at or before t. Reject admission under a
+        // tight TTFT budget makes rejections part of the count.
+        let m = machine();
+        let slo = edgemm_serve::SloClass::interactive().with_ttft(0.15);
+        let trace: Vec<ServeRequest> = TraceConfig::interactive(24, 60.0, 13)
+            .generate()
+            .into_iter()
+            .map(|r| r.with_slo(slo))
+            .collect();
+        let config =
+            ServeConfig::with_batch_cap(2).with_admission(edgemm_serve::AdmissionControl::Reject);
+        let replicas = (0..2)
+            .map(|_| {
+                let simulator = ServeSimulator::new(&m, zoo::sphinx_tiny(), config);
+                FleetReplica::new(simulator, PolicyKind::EarliestDeadlineFirst)
+            })
+            .collect();
+        let mut routing = RecordingLeastKv::default();
+        let report = FleetGateway::new(replicas).serve(&trace, &mut routing);
+        assert!(report.rejected() > 0, "no rejection exercised the views");
+        for (i, (now_s, views)) in routing.seen.iter().enumerate() {
+            for (replica, view) in views.iter().enumerate() {
+                let final_report = &report.replicas[replica];
+                let routed = report.assignments[..i]
+                    .iter()
+                    .filter(|&&a| a == replica)
+                    .count();
+                let finished = final_report
+                    .completed
+                    .iter()
+                    .filter(|c| c.finish_s <= *now_s)
+                    .count()
+                    + final_report
+                        .rejected
+                        .iter()
+                        .filter(|r| r.reject_s <= *now_s)
+                        .count();
+                let kv_bytes = final_report
+                    .queue_samples
+                    .iter()
+                    .take_while(|s| s.time_s <= *now_s)
+                    .last()
+                    .map(|s| s.kv_bytes)
+                    .unwrap_or_default();
+                let expected = ReplicaView {
+                    replica,
+                    dispatched: routed,
+                    in_flight: routed - finished,
+                    kv_bytes,
+                };
+                assert_eq!(*view, expected, "routing decision {i}");
+            }
+        }
     }
 
     #[test]

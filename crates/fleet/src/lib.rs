@@ -1,11 +1,12 @@
 //! # edgemm-fleet
 //!
 //! The fleet tier of the EdgeMM reproduction: N serving replicas — each a
-//! full [`edgemm_serve::ServeSimulator`] over its own machine — behind one
-//! gateway driven by a single [`edgemm_event::EventQueue`]. Request
-//! arrivals, routing decisions and per-replica drain completions interleave
-//! on one fleet clock, so the tier above a single chip reuses the exact
-//! discrete-event core the chip-level engine runs on.
+//! full [`edgemm_serve::ServeSimulator`] over its own machine, run as a
+//! resumable [`edgemm_serve::ServeEngine`] — behind one gateway. The
+//! gateway steps every replica's engine on one fleet clock: at each
+//! arrival it advances them all to that instant, routes on their live load
+//! and pushes the request into the chosen engine, so the tier above a
+//! single chip is nothing but the chip-level engine, several times over.
 //!
 //! The paper (PAPER.md) prices one chip serving one queue; production
 //! traffic from millions of users needs many chips behind a router. This
@@ -18,8 +19,8 @@
 //! * [`route`] — the [`RoutePolicy`] trait and the four built-in policies
 //!   (round-robin, least-KV-loaded, power-of-two-choices, prefix-affinity),
 //!   enumerable through [`RoutingKind`].
-//! * [`gateway`] — [`FleetGateway`]: the event-driven dispatch loop over
-//!   [`FleetReplica`]s and the replica load projection it routes on.
+//! * [`gateway`] — [`FleetGateway`]: the arrival loop over
+//!   [`FleetReplica`]s and the live replica views it routes on.
 //! * [`report`] — [`FleetReport`]: per-replica [`edgemm_serve::ServeReport`]s
 //!   plus fleet-level SLO attainment, load imbalance and cross-replica
 //!   restarted-prefill accounting.
@@ -27,8 +28,8 @@
 //! ## Determinism
 //!
 //! The gateway is bit-deterministic: routing happens in fleet-clock order
-//! (ties broken by submission order through the event queue's FIFO
-//! guarantee), the only randomized policy (power-of-two-choices) draws from
+//! (ties broken by submission order), the only randomized policy
+//! (power-of-two-choices) draws from
 //! a caller-seeded [`rand::rngs::StdRng`], and nothing reads host time or
 //! hashes with a random state. A fleet of one replica degenerates to the
 //! single-machine engine byte for byte — pinned by the workspace

@@ -7,7 +7,7 @@ use edgemm_serve::ServeReport;
 
 /// What a fleet serve returns: each replica's full [`ServeReport`] (exactly
 /// what a one-shot serve of that replica's sub-trace would report), the
-/// request-to-replica assignment, and the gateway's event accounting.
+/// request-to-replica assignment and the fleet makespan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Final per-replica reports, in replica order. A replica nothing was
@@ -16,15 +16,16 @@ pub struct FleetReport {
     /// `assignments[i]` is the replica the `i`-th submitted request was
     /// dispatched to.
     pub assignments: Vec<usize>,
-    /// Completion events that were current when popped: the fleet clock
-    /// observed that replica actually drained at that instant.
+    /// Retired: the number of replicas that served at least one request.
+    /// Kept only because the repository benchmark reads it.
     pub completion_events: u64,
-    /// Completion events invalidated by a later dispatch to the same
-    /// replica before they popped (the queue has no cancellation; stale
-    /// generations are counted and dropped).
+    /// Retired: always 0 (the gateway schedules no completion events that
+    /// could go stale). Kept only because the repository benchmark reads
+    /// it.
     pub stale_completions: u64,
-    /// Fleet-clock time of the last event processed: when the last replica
-    /// drained the last request (0 for an empty trace).
+    /// Fleet-clock time at which the fleet drained: the later of the last
+    /// arrival and the last replica's last completion or rejection, both
+    /// on the 1 GHz fleet tick (0 for an empty trace).
     pub makespan_s: f64,
 }
 

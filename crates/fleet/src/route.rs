@@ -1,8 +1,8 @@
 //! Routing policies: which replica's queue an arriving request joins.
 //!
 //! A [`RoutePolicy`] sees the arriving request plus one [`ReplicaView`] per
-//! replica — the gateway's projection of each replica's load at the fleet
-//! clock — and picks an index. Policies are stateful (round-robin keeps a
+//! replica — each replica's live load at the fleet clock — and picks an
+//! index. Policies are stateful (round-robin keeps a
 //! cursor, prefix-affinity a tenant map) but must be deterministic: the
 //! gateway calls them exactly once per request, in fleet-clock order, and
 //! the whole fleet run is replayed byte-identically from the same inputs.
@@ -13,11 +13,11 @@ use edgemm_core::units::Bytes;
 use edgemm_serve::ServeRequest;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// One replica's load as the gateway projects it at a routing instant.
+/// One replica's load as the gateway sees it at a routing instant.
 ///
-/// The projection is *model time*, not host time: it is derived from the
-/// replica's own simulated report over the requests dispatched to it so
-/// far, evaluated at the fleet clock of the arrival being routed.
+/// The view is *model time*, not host time: it is read from the replica's
+/// engine advanced through the fleet clock of the arrival being routed,
+/// over the requests dispatched to it so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaView {
     /// Index of the replica this view describes.
@@ -28,7 +28,7 @@ pub struct ReplicaView {
     /// rejected) at the fleet clock.
     pub in_flight: usize,
     /// KV-cache bytes resident in the replica's pool at the fleet clock
-    /// (the latest queue sample at or before it; zero before the first).
+    /// (after its last event at or before it; zero before the first).
     pub kv_bytes: Bytes,
 }
 

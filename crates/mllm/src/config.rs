@@ -1,9 +1,7 @@
 //! Model geometry descriptions: vision encoder, projector and LLM.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of a decoder-only LLM with a gated-MLP FFN (Llama/Qwen style).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LlmConfig {
     /// Human-readable name (e.g. "TinyLlama-1.1B").
     pub name: String,
@@ -62,7 +60,7 @@ impl LlmConfig {
 }
 
 /// Geometry of a ViT-style vision encoder.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VisionEncoderConfig {
     /// Human-readable name (e.g. "CLIP ViT-L/14").
     pub name: String,
@@ -86,7 +84,7 @@ impl VisionEncoderConfig {
 }
 
 /// The projector aligning vision tokens with the language model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProjectorKind {
     /// A small MLP (most edge MLLMs).
     Mlp,
@@ -97,7 +95,7 @@ pub enum ProjectorKind {
 }
 
 /// Projector configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProjectorConfig {
     /// Projector family.
     pub kind: ProjectorKind,
@@ -117,7 +115,7 @@ impl ProjectorConfig {
 }
 
 /// A complete multimodal LLM: encoder + projector + language model.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MllmConfig {
     /// Model name as used in the paper (e.g. "SPHINX-Tiny").
     pub name: String,

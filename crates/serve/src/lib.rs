@@ -149,6 +149,6 @@ pub use policy::{
     ShortestPromptFirst,
 };
 pub use request::{CompletedRequest, RejectedRequest, ServeRequest, SharedPrefix};
-pub use simulator::{ServeConfig, ServeScratch, ServeSimulator};
+pub use simulator::{ServeConfig, ServeEngine, ServeScratch, ServeSimulator};
 pub use slo::{AdmissionControl, Priority, SloClass};
 pub use trace::{merge, TraceConfig};

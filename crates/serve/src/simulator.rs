@@ -50,7 +50,6 @@ use std::sync::{Mutex, OnceLock};
 use edgemm_arch::ClusterKind;
 use edgemm_core::float::is_one;
 use edgemm_core::units::{clock_hz, Bytes, BytesPerToken, Cycles, Tokens};
-use edgemm_event::{Clock, EventQueue};
 use edgemm_mem::{
     prefix_key, BlockTable, DmaEngine, DmaRequest, KvPool, PagedKvPool, SpillTicket,
     TrafficClass as MemTrafficClass,
@@ -59,9 +58,15 @@ use edgemm_mllm::{MllmConfig, ModelWorkload, Phase, TrafficClass};
 use edgemm_sim::{DecodeOptions, Machine, OpCost, PruningEffect};
 
 use crate::metrics::{QueueSample, ServeReport};
-use crate::policy::{QueuedRequest, SchedulePolicy};
+use crate::policy::QueuedRequest;
+#[cfg(any(test, feature = "reference"))]
+use crate::policy::SchedulePolicy;
 use crate::request::{CompletedRequest, RejectedRequest, ServeRequest};
 use crate::slo::AdmissionControl;
+
+mod engine;
+
+pub use engine::{ServeEngine, ServeScratch};
 
 /// Static configuration of a serving run.
 ///
@@ -232,27 +237,31 @@ impl ServeConfig {
     pub fn with_admission(self, admission: AdmissionControl) -> Self {
         ServeConfig { admission, ..self }
     }
+
+    /// Whether CC dispatches consult the pool (and may be refused): prefix
+    /// attaches and eager chunk accounting allocate blocks there.
+    fn cc_gated(&self) -> bool {
+        self.prefix_sharing || self.eager_kv_accounting
+    }
+
+    /// Whether ready or CC streams can hold pool blocks (sharing, eager
+    /// accounting or spilling), which shuts the pool's sole-owner escape
+    /// hatch; the forced admission paths reopen it, and only then.
+    fn accounted(&self) -> bool {
+        self.cc_gated() || self.spill_capacity_bytes.is_some()
+    }
+
+    /// Whether a decode batch of `batch_len` streams has room for one more
+    /// under the optional hard cap.
+    fn has_slot(&self, batch_len: usize) -> bool {
+        self.batch_cap.map_or(true, |cap| batch_len < cap)
+    }
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         Self::with_batch_cap(8)
     }
-}
-
-/// What the heap-scheduled engine pops from its [`EventQueue`]: a request
-/// arrival, the CC stage finishing a prefill chunk, or the MC stage
-/// finishing a decode step. DMA spill/restore transfers complete *within*
-/// the chunk or step that forced them (the engine model serialises them
-/// into that stage's end cycle), so they need no event of their own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    /// Request `states[i]` enters the CC queue.
-    Arrival(usize),
-    /// The CC stage finishes the current prefill chunk of `states[i]`.
-    ChunkDone(usize),
-    /// The MC stage finishes the decode step of the current batch.
-    StepDone,
 }
 
 /// Precomputed costs plus recorded timeline of one request in flight.
@@ -336,46 +345,6 @@ impl InFlight {
             decode_cycles: self.solo_step_cycles * self.request.output_tokens,
             slo: self.request.slo,
         }
-    }
-}
-
-/// Reusable allocations for [`ServeSimulator::run_with_scratch`].
-///
-/// One simulation allocates a dozen collections — the event heap, the
-/// stage queues, the per-run pricing memos — and drops them all at the
-/// end. Callers that simulate repeatedly (the bench's timed repeats, sweep
-/// workers) can pass the same scratch back in so those collections keep
-/// their capacity across runs.
-///
-/// The scratch carries **capacity only, never state**: every collection is
-/// cleared at the start of each run (the memos are trace-dependent — their
-/// keys are indices into that run's request list — so reusing entries
-/// across traces would be wrong, not just stale). A run with a fresh
-/// scratch and a run with a reused one are therefore byte-identical, which
-/// is what lets [`ServeSimulator::run`] delegate here unconditionally.
-#[derive(Debug, Default)]
-pub struct ServeScratch {
-    states: Vec<InFlight>,
-    order: Vec<usize>,
-    events: EventQueue<Event>,
-    cc_queue: Vec<usize>,
-    ready: Vec<usize>,
-    batch: Vec<usize>,
-    completed_order: Vec<usize>,
-    rejected_order: Vec<(usize, Cycles)>,
-    kv_costs: HashMap<usize, (OpCost, OpCost)>,
-    step_memo: HashMap<(Vec<usize>, u64), Cycles>,
-    weight_memo: HashMap<Vec<usize>, (Cycles, usize)>,
-    /// Length of the previous run's sample log; the next run's log is
-    /// pre-sized to it (the log itself moves into the report, so only the
-    /// size hint can be carried over).
-    samples_hint: usize,
-}
-
-impl ServeScratch {
-    /// An empty scratch; capacity grows on first use.
-    pub fn new() -> Self {
-        Self::default()
     }
 }
 
@@ -535,6 +504,31 @@ impl<'a> ServeSimulator<'a> {
             decode_start: Cycles::ZERO,
             finish: Cycles::ZERO,
         }
+    }
+
+    /// The block-granular pool of a paged run (`None` when unpaged), with
+    /// the configured spill area.
+    fn paged_pool(&self) -> Option<PagedKvPool> {
+        self.config.block_tokens.map(|block_tokens| {
+            let pool = PagedKvPool::new(self.config.kv, block_tokens, self.kv_bytes_per_token);
+            match self.config.spill_capacity_bytes {
+                Some(capacity) => pool.with_spill_capacity(capacity),
+                None => pool,
+            }
+        })
+    }
+
+    /// The DMA engine of a paged run that shares prefixes or spills: spill
+    /// images and copy-on-write copies move over the MC clusters' share of
+    /// the DRAM interface, serially per the engine model.
+    fn dma_engine(&self, paged: Option<&PagedKvPool>) -> Option<DmaEngine> {
+        let moves_kv = self.config.prefix_sharing || self.config.spill_capacity_bytes.is_some();
+        paged.filter(|_| moves_kv).map(|pool| {
+            let config = self.machine.config();
+            let share = config.allocation.mc_share;
+            let share = if share > 0.0 { share } else { 1.0 };
+            DmaEngine::new(config.dram, pool.block_bytes(), share)
+        })
     }
 
     /// Price one prefill as the CC stage's chunk list under the configured
@@ -906,10 +900,11 @@ impl<'a> ServeSimulator<'a> {
     }
 
     /// The pre-heap reference engine: the original advance-and-scan event
-    /// loop, kept verbatim as the behavioural oracle for the heap-scheduled
-    /// [`Self::run`]. The differential harness (this crate's unit tests and
-    /// the workspace `tests/properties.rs`) replays traces through both and
-    /// asserts byte-identical [`ServeReport`]s.
+    /// loop, kept as the behavioural oracle for the heap-scheduled
+    /// [`Self::run`] (whose stage methods carry the model's rationale). The
+    /// differential harness (this crate's unit tests and the workspace
+    /// `tests/properties.rs`) replays traces through both and asserts
+    /// byte-identical [`ServeReport`]s.
     ///
     /// Compiled for this crate's tests and behind the `reference` feature
     /// for external harnesses; it is not part of the production API.
@@ -944,34 +939,10 @@ impl<'a> ServeSimulator<'a> {
         let mut cc_busy: Option<(Cycles, usize)> = None;
         let mut step_end: Option<Cycles> = None;
         let mut kv = self.config.kv;
-        // Paged mode replaces the flat pool's whole-request reservations
-        // with block-granular tables plus a memoised per-context KV-cost
-        // cache (shared across streams — they serve the same model).
-        let mut paged = self.config.block_tokens.map(|block_tokens| {
-            let pool = PagedKvPool::new(self.config.kv, block_tokens, self.kv_bytes_per_token);
-            match self.config.spill_capacity_bytes {
-                Some(capacity) => pool.with_spill_capacity(capacity),
-                None => pool,
-            }
-        });
-        let sharing = self.config.prefix_sharing;
-        let spilling = self.config.spill_capacity_bytes.is_some();
-        // CC dispatches consult the pool (and may be refused) when prefix
-        // attaches or eager chunk accounting allocate blocks there.
-        let cc_gated = sharing || self.config.eager_kv_accounting;
-        // Any of the three features can leave ready/CC streams holding pool
-        // blocks, which closes the PR 5 sole-owner guarantees — the forced
-        // admission paths below reopen them, gated off in PR 5 mode.
-        let accounted = cc_gated || spilling;
-        // Spill images and copy-on-write copies move over the MC clusters'
-        // share of the DRAM interface, serially per the engine model.
-        let mut dma: Option<DmaEngine> =
-            paged.as_ref().filter(|_| sharing || spilling).map(|pool| {
-                let config = self.machine.config();
-                let share = config.allocation.mc_share;
-                let share = if share > 0.0 { share } else { 1.0 };
-                DmaEngine::new(config.dram, pool.block_bytes(), share)
-            });
+        let mut paged = self.paged_pool();
+        let cc_gated = self.config.cc_gated();
+        let accounted = self.config.accounted();
+        let mut dma = self.dma_engine(paged.as_ref());
         let mut kv_costs: HashMap<usize, (OpCost, OpCost)> = HashMap::new();
         let mut restarted_prefill_tokens = Tokens::ZERO;
         let mut completed_order: Vec<usize> = Vec::new();
@@ -979,8 +950,7 @@ impl<'a> ServeSimulator<'a> {
         let mut queue_samples: Vec<QueueSample> = Vec::new();
         let mut decode_steps = 0u64;
         let mut preemptions = 0u64;
-        // The request whose chunk just finished and went back to the queue:
-        // the only request a pick can *preempt* (displace mid-prefill).
+        // The only request a pick can preempt.
         let mut cc_resumable: Option<usize> = None;
 
         loop {
@@ -998,10 +968,7 @@ impl<'a> ServeSimulator<'a> {
             }
             let Some(now) = next else { break };
 
-            // Drain everything due at `now` before dispatching, so a request
-            // arriving or finishing a chunk exactly at a step boundary can be
-            // considered for the very next step. Arrivals first (the CC pick
-            // must see them), then the chunk completion, then the step.
+            // Drain everything due: arrivals, then the chunk, then the step.
             while next_arrival < order.len() && states[order[next_arrival]].arrival_cycle <= now {
                 cc_queue.push(order[next_arrival]);
                 next_arrival += 1;
@@ -1013,18 +980,14 @@ impl<'a> ServeSimulator<'a> {
                     states[idx].remaining_prefill_cycles -= chunk;
                     states[idx].chunks_done = done + 1;
                     if states[idx].prefill_finished() {
-                        // TTFT freezes at the *first* prefill completion; an
-                        // eviction re-prefill (paged mode) re-materialises
-                        // KV without moving the recorded first token.
+                        // TTFT freezes at the first prefill completion.
                         if !states[idx].has_first_token {
                             states[idx].prefill_end = now;
                             states[idx].has_first_token = true;
                         }
                         ready.push(idx);
                     } else {
-                        // Back to the queue: the policy decides at the chunk
-                        // boundary whether this prefill continues or an
-                        // urgent arrival preempts it.
+                        // Back to the queue: the next pick may preempt it.
                         cc_queue.push(idx);
                         cc_resumable = Some(idx);
                     }
@@ -1053,10 +1016,7 @@ impl<'a> ServeSimulator<'a> {
                 }
             }
 
-            // Dispatch the serial CC stage: one prefill chunk at a time,
-            // chosen by the policy from a snapshot of the queue. Admission
-            // control first splits the queue on TTFT slack (for requests
-            // mid-prefill, the slack of their *remaining* chunks).
+            // CC stage: admission control, then the policy's chunk pick.
             if cc_busy.is_none() && !cc_queue.is_empty() {
                 if self.config.admission == AdmissionControl::Reject {
                     let mut i = 0;
@@ -1066,12 +1026,7 @@ impl<'a> ServeSimulator<'a> {
                             i += 1;
                         } else {
                             cc_queue.swap_remove(i);
-                            // Blocks the reject already holds (an attached
-                            // prefix, eager-accounted chunks) go back to the
-                            // pool; a no-op for the empty PR 5 tables. A
-                            // spilled image is read back and dropped so the
-                            // spill area's accounting settles (unpriced: the
-                            // reject leaves the system).
+                            // Return held blocks; settle a spilled image (unpriced).
                             if let Some(pool) = paged.as_mut() {
                                 if let Some(ticket) = states[idx].spill.take() {
                                     pool.try_restore(&mut states[idx].table, &ticket, true);
@@ -1082,9 +1037,7 @@ impl<'a> ServeSimulator<'a> {
                         }
                     }
                 }
-                // Positions into `cc_queue` the policy may choose from:
-                // everything, or (under deferral) the feasible subset when
-                // one exists.
+                // Candidates: all, or the feasible subset under deferral.
                 let pool: Vec<usize> = if self.config.admission == AdmissionControl::Defer {
                     let feasible: Vec<usize> = (0..cc_queue.len())
                         .filter(|&pos| states[cc_queue[pos]].ttft_feasible_at(now))
@@ -1098,12 +1051,7 @@ impl<'a> ServeSimulator<'a> {
                     (0..cc_queue.len()).collect()
                 };
                 if !pool.is_empty() {
-                    // Two passes under CC-side KV gating: every candidate is
-                    // first tried within the budget; if all are refused while
-                    // nothing is decoding and nothing is ready to decode, the
-                    // queued prefills hold every pool block between them and
-                    // refusing them all would deadlock — the second pass
-                    // admits the policy's pick by force.
+                    // The second pass forces the pick when gating would deadlock.
                     'dispatch: for force in [false, true] {
                         if force && !(cc_gated && batch.is_empty() && ready.is_empty()) {
                             break;
@@ -1122,22 +1070,12 @@ impl<'a> ServeSimulator<'a> {
                                 candidates.len()
                             );
                             let idx = cc_queue[candidates[pick]];
-                            // A refused candidate is skipped this round and
-                            // the policy re-picks among the rest — it
-                            // retries once memory drains.
+                            // A refused candidate is skipped; the policy re-picks.
                             if cc_gated {
                                 // lint:allow(no-unwrap): cc gating implies paged mode
                                 let kv_pool = paged.as_mut().expect("gating needs a pool");
                                 if force {
-                                    // Make room before forcing: park every
-                                    // *other* queued prefill's eager KV in the
-                                    // DRAM spill area (each reads it back when
-                                    // it next reaches the stage), so the
-                                    // forced stream runs against a drained
-                                    // pool instead of blowing past the budget.
-                                    // Without a spill area this is a no-op and
-                                    // the gate's forced growth is the only
-                                    // escape.
+                                    // Park every other queued prefill's eager KV first.
                                     for &other in cc_queue.iter() {
                                         if other == idx
                                             || states[other].spill.is_some()
@@ -1160,12 +1098,7 @@ impl<'a> ServeSimulator<'a> {
                                 }
                             }
                             cc_queue.swap_remove(candidates[pick]);
-                            // A preemption is a pick that displaces the request
-                            // whose chunk just ran: it wanted to continue (it is
-                            // still queued mid-prefill) and something else took the
-                            // stage at its chunk boundary. Continuing an earlier
-                            // victim while the queue holds other mid-prefill
-                            // requests is not a *new* preemption.
+                            // A preemption displaces the request whose chunk just ran.
                             if cc_resumable
                                 .is_some_and(|prev| idx != prev && cc_queue.contains(&prev))
                             {
@@ -1175,8 +1108,7 @@ impl<'a> ServeSimulator<'a> {
                             if states[idx].chunks_done == 0 {
                                 states[idx].prefill_start = now;
                             }
-                            // A freshly attached prefix owes its copy-on-write
-                            // bytes: the DMA transfer extends this chunk.
+                            // Copy-on-write bytes extend this chunk.
                             let copied =
                                 std::mem::replace(&mut states[idx].pending_copy_bytes, Bytes::ZERO);
                             let copy_cycles = Self::dma_transfer_cycles(&mut dma, copied, now);
@@ -1188,25 +1120,14 @@ impl<'a> ServeSimulator<'a> {
                 }
             }
 
-            // Dispatch the MC stage: top the batch up from the ready set in
-            // the policy's join order (continuous batching). A join must fit
-            // the KV pool's headroom and the optional hard cap; when the
-            // policy's next pick does not fit, the top-up stops — the pick
-            // blocks at the head of the ready queue until a finishing
-            // stream releases KV bytes (no bypass, so the policy's order is
-            // honoured under memory pressure too). In paged mode a blocked
-            // pick may instead *revoke* the slot of a strictly-less-urgent
-            // running stream, and every stream's table must grow for the
-            // token the step will generate before the step is priced.
+            // MC stage: top-up in join order, (paged) growth, the step.
             if step_end.is_none() {
                 let has_slot =
                     |batch_len: usize| self.config.batch_cap.map_or(true, |cap| batch_len < cap);
                 match paged.as_mut() {
                     None => {
                         if has_slot(batch.len()) && !ready.is_empty() {
-                            // Snapshot the ready set once per top-up;
-                            // `swap_remove` on both vectors in lockstep
-                            // keeps indices aligned.
+                            // `swap_remove` in lockstep keeps the snapshot aligned.
                             let mut snapshot: Vec<QueuedRequest> =
                                 ready.iter().map(|&idx| states[idx].as_queued()).collect();
                             while has_slot(batch.len()) && !ready.is_empty() {
@@ -1234,15 +1155,9 @@ impl<'a> ServeSimulator<'a> {
                         }
                     }
                     Some(pool) => {
-                        // DMA cycles this dispatch owes: spilled or restored
-                        // KV images and copy-on-write transfers extend the
-                        // decode step that forced them.
+                        // DMA cycles this dispatch owes extend the step.
                         let mut dma_cycles = Cycles::ZERO;
-                        // The least-urgent batch member by (priority,
-                        // arrival, id): the eviction victim whenever one
-                        // must be chosen. Deterministic, so equal-priority
-                        // pressure always resolves the same way (the later
-                        // arrival loses) and cannot ping-pong.
+                        // The least-urgent member by (priority, arrival, id).
                         let worst_of = |states: &[InFlight], batch: &[usize]| -> Option<usize> {
                             batch
                                 .iter()
@@ -1273,11 +1188,7 @@ impl<'a> ServeSimulator<'a> {
                                  -> bool {
                                     has_slot(batch.len()) && {
                                         if let Some(ticket) = states[idx].spill {
-                                            // A spilled stream re-joins by
-                                            // reading its image back; forced
-                                            // when the batch is empty, so
-                                            // decode progresses even while
-                                            // queued streams hold blocks.
+                                            // Restore a spilled image (forced into an empty batch).
                                             let force = batch.is_empty();
                                             if pool.try_restore(
                                                 &mut states[idx].table,
@@ -1299,10 +1210,7 @@ impl<'a> ServeSimulator<'a> {
                                             if pool.try_grow_to(&mut states[idx].table, context) {
                                                 true
                                             } else if accounted && batch.is_empty() {
-                                                // Queued streams hold pool
-                                                // blocks, so the sole-owner
-                                                // hatch cannot open; force the
-                                                // join — decode must drain.
+                                                // Queued streams hold blocks: force the join.
                                                 pool.grow_to_forced(
                                                     &mut states[idx].table,
                                                     context,
@@ -1316,14 +1224,7 @@ impl<'a> ServeSimulator<'a> {
                                 };
                                 if !admit(&mut states, &mut batch, pool, &mut dma, &mut dma_cycles)
                                 {
-                                    // Priority-aware decode-slot revocation:
-                                    // only strictly-less-urgent streams can
-                                    // be evicted for the pick, so equal
-                                    // priorities wait instead of thrashing —
-                                    // and only when revoking *all* of them
-                                    // would actually admit the pick, so a
-                                    // victim never pays the re-prefill
-                                    // recompute for nothing.
+                                    // Revoke less-urgent slots only if that admits the pick.
                                     let evictable: Vec<usize> = batch
                                         .iter()
                                         .filter(|&&v| {
@@ -1337,19 +1238,14 @@ impl<'a> ServeSimulator<'a> {
                                         .map(|&v| pool.reclaimable_blocks(&states[v].table))
                                         .sum();
                                     let needed = match states[idx].spill {
-                                        // A spilled pick re-admits by restoring
-                                        // its whole image, not by growing from
-                                        // an empty table.
+                                        // A spilled pick restores its whole image.
                                         Some(ticket) => ticket.blocks(),
                                         None => pool
                                             .blocks_for(Tokens::new(states[idx].context_tokens()))
                                             .saturating_sub(states[idx].table.blocks()),
                                     };
                                     let occupied = pool.occupied_blocks();
-                                    // Evicting the whole batch makes the pick
-                                    // the sole owner (the escape hatch always
-                                    // admits it); otherwise the freed blocks
-                                    // must leave room under the budget.
+                                    // Evicting the whole batch always admits the pick.
                                     let kv_feasible = evictable.len() == batch.len()
                                         || pool
                                             .block_bytes()
@@ -1369,12 +1265,7 @@ impl<'a> ServeSimulator<'a> {
                                             // lint:allow(no-unwrap): kv_feasible checked above
                                             .expect("feasibility guaranteed a victim");
                                         let victim = batch.remove(pos);
-                                        // Spill-and-restore when the area has
-                                        // room: the victim's KV image parks in
-                                        // DRAM and it re-queues for
-                                        // re-admission with its state intact;
-                                        // recompute from scratch is the
-                                        // fallback (area full or none).
+                                        // Spill when the area has room, else evict and re-prefill.
                                         match pool.try_spill(&mut states[victim].table) {
                                             Some(ticket) => {
                                                 dma_cycles += Self::dma_transfer_cycles(
@@ -1413,11 +1304,7 @@ impl<'a> ServeSimulator<'a> {
                                 batch.push(idx);
                             }
                         }
-                        // Growth: room for the token each stream generates
-                        // this step. Under pressure the least-urgent member
-                        // is evicted — possibly the grower itself; a sole
-                        // remaining stream always grows (the pool's
-                        // sole-owner escape hatch), so this terminates.
+                        // Growth for this step's token; pressure evicts the least urgent.
                         let mut i = 0;
                         while i < batch.len() {
                             let idx = batch[i];
@@ -1427,10 +1314,7 @@ impl<'a> ServeSimulator<'a> {
                                 continue;
                             }
                             if accounted && batch.len() == 1 {
-                                // Sole batch member, but CC/ready streams hold
-                                // accounted blocks so the pool's own
-                                // sole-owner hatch stays shut: force the
-                                // growth — decode must always progress.
+                                // Sole member, blocks held elsewhere: force the growth.
                                 pool.grow_to_forced(&mut states[idx].table, target);
                                 i += 1;
                                 continue;
@@ -1458,9 +1342,7 @@ impl<'a> ServeSimulator<'a> {
                             }
                         }
                         if !batch.is_empty() {
-                            // Spill/restore/copy DMA serialises with the step
-                            // that triggered it: the batch stalls until the
-                            // images have moved.
+                            // DMA serialises with the step that triggered it.
                             step_end = Some(
                                 now + self.paged_step_cycles(
                                     &states,
@@ -1670,650 +1552,6 @@ impl<'a> ServeSimulator<'a> {
         let odd_term = aggregate_compute.max(aggregate_dram);
         let total = weight_part + even_term * kv_ops.div_ceil(2) + odd_term * (kv_ops / 2);
         total.max(Cycles::new(1))
-    }
-
-    /// Serve a trace of requests under `policy` and report per-request
-    /// timelines plus aggregate metrics.
-    ///
-    /// This is the heap-scheduled engine: arrivals, prefill-chunk
-    /// completions and decode-step completions are events in an
-    /// [`EventQueue`] keyed on `(Cycles, seq)`, popped in deterministic
-    /// order by a monotonic [`Clock`] instead of min-scanned from the queue
-    /// vectors. Step pricing is incremental (see the private
-    /// `paged_step_cycles_fast` and `step_cycles_memo` helpers).
-    /// The produced [`ServeReport`] is byte-identical to the reference
-    /// engine's — pinned by the differential suite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two requests share an id or a policy returns an
-    /// out-of-range index.
-    pub fn run(&self, requests: &[ServeRequest], policy: &dyn SchedulePolicy) -> ServeReport {
-        self.run_with_scratch(requests, policy, &mut ServeScratch::new())
-    }
-
-    /// [`Self::run`] reusing the allocations in `scratch`.
-    ///
-    /// Byte-identical to [`Self::run`] for any scratch — the scratch
-    /// carries capacity, never state (see [`ServeScratch`]) — but skips
-    /// the per-run collection churn, which matters when one simulator
-    /// serves many traces back to back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two requests share an id or a policy returns an
-    /// out-of-range index.
-    pub fn run_with_scratch(
-        &self,
-        requests: &[ServeRequest],
-        policy: &dyn SchedulePolicy,
-        scratch: &mut ServeScratch,
-    ) -> ServeReport {
-        let clock_hz = self.clock_hz();
-        let mut states = std::mem::take(&mut scratch.states);
-        states.clear();
-        states.extend(requests.iter().map(|r| self.admit(r)));
-        {
-            let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            assert_eq!(ids.len(), requests.len(), "request ids must be unique");
-        }
-
-        // Arrival order, stable on (cycle, id). All arrivals enter the heap
-        // up front in this order, so same-cycle arrivals pop FIFO — the
-        // reference's drain order.
-        let mut order = std::mem::take(&mut scratch.order);
-        order.clear();
-        order.extend(0..states.len());
-        order.sort_by_key(|&i| (states[i].arrival_cycle, states[i].request.id));
-
-        let mut clock = Clock::new();
-        let mut events = std::mem::take(&mut scratch.events);
-        events.clear();
-        for &idx in &order {
-            events.push(states[idx].arrival_cycle, Event::Arrival(idx));
-        }
-
-        let mut cc_queue = std::mem::take(&mut scratch.cc_queue);
-        cc_queue.clear();
-        let mut ready = std::mem::take(&mut scratch.ready);
-        ready.clear();
-        let mut batch = std::mem::take(&mut scratch.batch);
-        batch.clear();
-        // The request whose chunk the CC stage is running, if any; its
-        // completion event is in the heap (at most one outstanding, never
-        // cancelled).
-        let mut cc_busy: Option<usize> = None;
-        // Whether a decode step is in flight (its completion event is in
-        // the heap; at most one outstanding, never cancelled).
-        let mut step_in_flight = false;
-        let mut kv = self.config.kv;
-        let mut paged = self.config.block_tokens.map(|block_tokens| {
-            let pool = PagedKvPool::new(self.config.kv, block_tokens, self.kv_bytes_per_token);
-            match self.config.spill_capacity_bytes {
-                Some(capacity) => pool.with_spill_capacity(capacity),
-                None => pool,
-            }
-        });
-        let sharing = self.config.prefix_sharing;
-        let spilling = self.config.spill_capacity_bytes.is_some();
-        let cc_gated = sharing || self.config.eager_kv_accounting;
-        let accounted = cc_gated || spilling;
-        let mut dma: Option<DmaEngine> =
-            paged.as_ref().filter(|_| sharing || spilling).map(|pool| {
-                let config = self.machine.config();
-                let share = config.allocation.mc_share;
-                let share = if share > 0.0 { share } else { 1.0 };
-                DmaEngine::new(config.dram, pool.block_bytes(), share)
-            });
-        let mut kv_costs = std::mem::take(&mut scratch.kv_costs);
-        kv_costs.clear();
-        // Step-pricing memos (see `step_cycles_memo` / `paged_step_cycles_fast`).
-        // Their keys are indices into this run's `states`, so they are
-        // cleared per run — only the table capacity is reused.
-        let mut step_memo = std::mem::take(&mut scratch.step_memo);
-        step_memo.clear();
-        let mut weight_memo = std::mem::take(&mut scratch.weight_memo);
-        weight_memo.clear();
-        let mut restarted_prefill_tokens = Tokens::ZERO;
-        let mut completed_order = std::mem::take(&mut scratch.completed_order);
-        completed_order.clear();
-        let mut rejected_order = std::mem::take(&mut scratch.rejected_order);
-        rejected_order.clear();
-        let mut queue_samples: Vec<QueueSample> = Vec::with_capacity(scratch.samples_hint);
-        let mut decode_steps = 0u64;
-        let mut preemptions = 0u64;
-        let mut cc_resumable: Option<usize> = None;
-
-        // All scheduled completions land strictly after the cycle that
-        // scheduled them (chunks and steps are clamped to ≥ 1 cycle), so the
-        // heap's minimum is each iteration's `now` and every event at that
-        // cycle belongs to that iteration.
-        while let Some(now) = events.next_cycle() {
-            clock.advance_to(now);
-
-            // Pop everything due at `now`, then apply it grouped by kind —
-            // arrivals first (the CC pick must see them), then the chunk
-            // completion, then the step completion — the reference's drain
-            // order, independent of heap insertion order.
-            let mut chunk_done: Option<usize> = None;
-            let mut step_done = false;
-            while let Some((_, event)) = events.pop_due(now) {
-                match event {
-                    Event::Arrival(idx) => cc_queue.push(idx),
-                    Event::ChunkDone(idx) => chunk_done = Some(idx),
-                    Event::StepDone => step_done = true,
-                }
-            }
-            if let Some(idx) = chunk_done {
-                debug_assert_eq!(cc_busy, Some(idx));
-                cc_busy = None;
-                let done = states[idx].chunks_done;
-                let chunk = states[idx].chunk_cycles[done];
-                states[idx].remaining_prefill_cycles -= chunk;
-                states[idx].chunks_done = done + 1;
-                if states[idx].prefill_finished() {
-                    // TTFT freezes at the *first* prefill completion; an
-                    // eviction re-prefill (paged mode) re-materialises
-                    // KV without moving the recorded first token.
-                    if !states[idx].has_first_token {
-                        states[idx].prefill_end = now;
-                        states[idx].has_first_token = true;
-                    }
-                    ready.push(idx);
-                } else {
-                    // Back to the queue: the policy decides at the chunk
-                    // boundary whether this prefill continues or an
-                    // urgent arrival preempts it.
-                    cc_queue.push(idx);
-                    cc_resumable = Some(idx);
-                }
-            }
-            if step_done {
-                step_in_flight = false;
-                for &idx in &batch {
-                    states[idx].remaining_tokens -= 1;
-                    states[idx].generated += 1;
-                }
-                batch.retain(|&idx| {
-                    let finished = states[idx].remaining_tokens == 0;
-                    if finished {
-                        states[idx].finish = now;
-                        match paged.as_mut() {
-                            Some(pool) => pool.release(&mut states[idx].table),
-                            None => kv.release(states[idx].kv_bytes),
-                        }
-                        completed_order.push(idx);
-                    }
-                    !finished
-                });
-            }
-
-            // Dispatch the serial CC stage: one prefill chunk at a time,
-            // chosen by the policy from a snapshot of the queue. Admission
-            // control first splits the queue on TTFT slack (for requests
-            // mid-prefill, the slack of their *remaining* chunks).
-            if cc_busy.is_none() && !cc_queue.is_empty() {
-                if self.config.admission == AdmissionControl::Reject {
-                    let mut i = 0;
-                    while i < cc_queue.len() {
-                        let idx = cc_queue[i];
-                        if states[idx].ttft_feasible_at(now) {
-                            i += 1;
-                        } else {
-                            cc_queue.swap_remove(i);
-                            // Blocks the reject already holds (an attached
-                            // prefix, eager-accounted chunks) go back to the
-                            // pool; a no-op for the empty PR 5 tables. A
-                            // spilled image is read back and dropped so the
-                            // spill area's accounting settles (unpriced: the
-                            // reject leaves the system).
-                            if let Some(pool) = paged.as_mut() {
-                                if let Some(ticket) = states[idx].spill.take() {
-                                    pool.try_restore(&mut states[idx].table, &ticket, true);
-                                }
-                                pool.release(&mut states[idx].table);
-                            }
-                            rejected_order.push((idx, now));
-                        }
-                    }
-                }
-                // Positions into `cc_queue` the policy may choose from:
-                // everything, or (under deferral) the feasible subset when
-                // one exists.
-                let pool: Vec<usize> = if self.config.admission == AdmissionControl::Defer {
-                    let feasible: Vec<usize> = (0..cc_queue.len())
-                        .filter(|&pos| states[cc_queue[pos]].ttft_feasible_at(now))
-                        .collect();
-                    if feasible.is_empty() {
-                        (0..cc_queue.len()).collect()
-                    } else {
-                        feasible
-                    }
-                } else {
-                    (0..cc_queue.len()).collect()
-                };
-                if !pool.is_empty() {
-                    // Two passes under CC-side KV gating: every candidate is
-                    // first tried within the budget; if all are refused while
-                    // nothing is decoding and nothing is ready to decode, the
-                    // queued prefills hold every pool block between them and
-                    // refusing them all would deadlock — the second pass
-                    // admits the policy's pick by force.
-                    'dispatch: for force in [false, true] {
-                        if force && !(cc_gated && batch.is_empty() && ready.is_empty()) {
-                            break;
-                        }
-                        let mut candidates = pool.clone();
-                        let mut snapshot: Vec<QueuedRequest> = candidates
-                            .iter()
-                            .map(|&pos| states[cc_queue[pos]].as_queued())
-                            .collect();
-                        while !candidates.is_empty() {
-                            let pick = policy.choose(&snapshot);
-                            assert!(
-                                pick < candidates.len(),
-                                "policy {} returned index {pick} for a queue of {}",
-                                policy.name(),
-                                candidates.len()
-                            );
-                            let idx = cc_queue[candidates[pick]];
-                            // A refused candidate is skipped this round and
-                            // the policy re-picks among the rest — it
-                            // retries once memory drains.
-                            if cc_gated {
-                                // lint:allow(no-unwrap): cc gating implies paged mode
-                                let kv_pool = paged.as_mut().expect("gating needs a pool");
-                                if force {
-                                    // Make room before forcing: park every
-                                    // *other* queued prefill's eager KV in the
-                                    // DRAM spill area (each reads it back when
-                                    // it next reaches the stage), so the
-                                    // forced stream runs against a drained
-                                    // pool instead of blowing past the budget.
-                                    // Without a spill area this is a no-op and
-                                    // the gate's forced growth is the only
-                                    // escape.
-                                    for &other in cc_queue.iter() {
-                                        if other == idx
-                                            || states[other].spill.is_some()
-                                            || states[other].table.is_empty()
-                                        {
-                                            continue;
-                                        }
-                                        if let Some(ticket) =
-                                            kv_pool.try_spill(&mut states[other].table)
-                                        {
-                                            states[idx].pending_copy_bytes += ticket.bytes();
-                                            states[other].spill = Some(ticket);
-                                        }
-                                    }
-                                }
-                                if !self.cc_chunk_gate(&mut states[idx], kv_pool, force) {
-                                    candidates.swap_remove(pick);
-                                    snapshot.swap_remove(pick);
-                                    continue;
-                                }
-                            }
-                            cc_queue.swap_remove(candidates[pick]);
-                            // A preemption is a pick that displaces the request
-                            // whose chunk just ran: it wanted to continue (it is
-                            // still queued mid-prefill) and something else took the
-                            // stage at its chunk boundary. Continuing an earlier
-                            // victim while the queue holds other mid-prefill
-                            // requests is not a *new* preemption.
-                            if cc_resumable
-                                .is_some_and(|prev| idx != prev && cc_queue.contains(&prev))
-                            {
-                                preemptions += 1;
-                            }
-                            cc_resumable = None;
-                            if states[idx].chunks_done == 0 {
-                                states[idx].prefill_start = now;
-                            }
-                            // A freshly attached prefix owes its copy-on-write
-                            // bytes: the DMA transfer extends this chunk.
-                            let copied =
-                                std::mem::replace(&mut states[idx].pending_copy_bytes, Bytes::ZERO);
-                            let copy_cycles = Self::dma_transfer_cycles(&mut dma, copied, now);
-                            let chunk = states[idx].chunk_cycles[states[idx].chunks_done];
-                            events.push(now + chunk + copy_cycles, Event::ChunkDone(idx));
-                            cc_busy = Some(idx);
-                            break 'dispatch;
-                        }
-                    }
-                }
-            }
-
-            // Dispatch the MC stage: top the batch up from the ready set in
-            // the policy's join order (continuous batching). A join must fit
-            // the KV pool's headroom and the optional hard cap; when the
-            // policy's next pick does not fit, the top-up stops — the pick
-            // blocks at the head of the ready queue until a finishing
-            // stream releases KV bytes (no bypass, so the policy's order is
-            // honoured under memory pressure too). In paged mode a blocked
-            // pick may instead *revoke* the slot of a strictly-less-urgent
-            // running stream, and every stream's table must grow for the
-            // token the step will generate before the step is priced.
-            if !step_in_flight {
-                let has_slot =
-                    |batch_len: usize| self.config.batch_cap.map_or(true, |cap| batch_len < cap);
-                match paged.as_mut() {
-                    None => {
-                        if has_slot(batch.len()) && !ready.is_empty() {
-                            // Snapshot the ready set once per top-up;
-                            // `swap_remove` on both vectors in lockstep
-                            // keeps indices aligned.
-                            let mut snapshot: Vec<QueuedRequest> =
-                                ready.iter().map(|&idx| states[idx].as_queued()).collect();
-                            while has_slot(batch.len()) && !ready.is_empty() {
-                                let pick = policy.choose_join(&snapshot);
-                                assert!(
-                                    pick < ready.len(),
-                                    "policy {} returned join index {pick} for a ready set of {}",
-                                    policy.name(),
-                                    ready.len()
-                                );
-                                if !kv.try_reserve(states[ready[pick]].kv_bytes) {
-                                    break;
-                                }
-                                snapshot.swap_remove(pick);
-                                let idx = ready.swap_remove(pick);
-                                states[idx].decode_start = now;
-                                batch.push(idx);
-                            }
-                        }
-                        if !batch.is_empty() {
-                            let step = self.step_cycles_memo(
-                                &states,
-                                &batch,
-                                kv.kv_traffic_factor(),
-                                &mut step_memo,
-                            );
-                            events.push(now + step, Event::StepDone);
-                            step_in_flight = true;
-                            decode_steps += 1;
-                        }
-                    }
-                    Some(pool) => {
-                        // DMA cycles this dispatch owes: spilled or restored
-                        // KV images and copy-on-write transfers extend the
-                        // decode step that forced them.
-                        let mut dma_cycles = Cycles::ZERO;
-                        // The least-urgent batch member by (priority,
-                        // arrival, id): the eviction victim whenever one
-                        // must be chosen. Deterministic, so equal-priority
-                        // pressure always resolves the same way (the later
-                        // arrival loses) and cannot ping-pong.
-                        let worst_of = |states: &[InFlight], batch: &[usize]| -> Option<usize> {
-                            batch
-                                .iter()
-                                .enumerate()
-                                .max_by_key(|&(_, &v)| {
-                                    let s = &states[v];
-                                    (s.request.slo.priority, s.arrival_cycle, s.request.id)
-                                })
-                                .map(|(pos, _)| pos)
-                        };
-                        if !ready.is_empty() {
-                            let mut snapshot: Vec<QueuedRequest> =
-                                ready.iter().map(|&idx| states[idx].as_queued()).collect();
-                            'topup: while !ready.is_empty() {
-                                let pick = policy.choose_join(&snapshot);
-                                assert!(
-                                    pick < ready.len(),
-                                    "policy {} returned join index {pick} for a ready set of {}",
-                                    policy.name(),
-                                    ready.len()
-                                );
-                                let idx = ready[pick];
-                                let admit = |states: &mut Vec<InFlight>,
-                                             batch: &mut Vec<usize>,
-                                             pool: &mut PagedKvPool,
-                                             dma: &mut Option<DmaEngine>,
-                                             dma_cycles: &mut Cycles|
-                                 -> bool {
-                                    has_slot(batch.len()) && {
-                                        if let Some(ticket) = states[idx].spill {
-                                            // A spilled stream re-joins by
-                                            // reading its image back; forced
-                                            // when the batch is empty, so
-                                            // decode progresses even while
-                                            // queued streams hold blocks.
-                                            let force = batch.is_empty();
-                                            if pool.try_restore(
-                                                &mut states[idx].table,
-                                                &ticket,
-                                                force,
-                                            ) {
-                                                states[idx].spill = None;
-                                                *dma_cycles += Self::dma_transfer_cycles(
-                                                    dma,
-                                                    ticket.bytes(),
-                                                    now,
-                                                );
-                                                true
-                                            } else {
-                                                false
-                                            }
-                                        } else {
-                                            let context = Tokens::new(states[idx].context_tokens());
-                                            if pool.try_grow_to(&mut states[idx].table, context) {
-                                                true
-                                            } else if accounted && batch.is_empty() {
-                                                // Queued streams hold pool
-                                                // blocks, so the sole-owner
-                                                // hatch cannot open; force the
-                                                // join — decode must drain.
-                                                pool.grow_to_forced(
-                                                    &mut states[idx].table,
-                                                    context,
-                                                );
-                                                true
-                                            } else {
-                                                false
-                                            }
-                                        }
-                                    }
-                                };
-                                if !admit(&mut states, &mut batch, pool, &mut dma, &mut dma_cycles)
-                                {
-                                    // Priority-aware decode-slot revocation:
-                                    // only strictly-less-urgent streams can
-                                    // be evicted for the pick, so equal
-                                    // priorities wait instead of thrashing —
-                                    // and only when revoking *all* of them
-                                    // would actually admit the pick, so a
-                                    // victim never pays the re-prefill
-                                    // recompute for nothing.
-                                    let evictable: Vec<usize> = batch
-                                        .iter()
-                                        .filter(|&&v| {
-                                            states[v].request.slo.priority
-                                                > states[idx].request.slo.priority
-                                        })
-                                        .copied()
-                                        .collect();
-                                    let freed: u64 = evictable
-                                        .iter()
-                                        .map(|&v| pool.reclaimable_blocks(&states[v].table))
-                                        .sum();
-                                    let needed = match states[idx].spill {
-                                        // A spilled pick re-admits by restoring
-                                        // its whole image, not by growing from
-                                        // an empty table.
-                                        Some(ticket) => ticket.blocks(),
-                                        None => pool
-                                            .blocks_for(Tokens::new(states[idx].context_tokens()))
-                                            .saturating_sub(states[idx].table.blocks()),
-                                    };
-                                    let occupied = pool.occupied_blocks();
-                                    // Evicting the whole batch makes the pick
-                                    // the sole owner (the escape hatch always
-                                    // admits it); otherwise the freed blocks
-                                    // must leave room under the budget.
-                                    let kv_feasible = evictable.len() == batch.len()
-                                        || pool
-                                            .block_bytes()
-                                            .checked_mul(occupied - freed + needed)
-                                            .unwrap_or(Bytes::MAX)
-                                            <= pool.budget_bytes();
-                                    let slot_feasible = has_slot(batch.len() - evictable.len());
-                                    if !(kv_feasible && slot_feasible) {
-                                        break 'topup;
-                                    }
-                                    loop {
-                                        let pos = worst_of(&states, &batch)
-                                            .filter(|&pos| {
-                                                states[batch[pos]].request.slo.priority
-                                                    > states[idx].request.slo.priority
-                                            })
-                                            // lint:allow(no-unwrap): kv_feasible checked above
-                                            .expect("feasibility guaranteed a victim");
-                                        let victim = batch.remove(pos);
-                                        // Spill-and-restore when the area has
-                                        // room: the victim's KV image parks in
-                                        // DRAM and it re-queues for
-                                        // re-admission with its state intact;
-                                        // recompute from scratch is the
-                                        // fallback (area full or none).
-                                        match pool.try_spill(&mut states[victim].table) {
-                                            Some(ticket) => {
-                                                dma_cycles += Self::dma_transfer_cycles(
-                                                    &mut dma,
-                                                    ticket.bytes(),
-                                                    now,
-                                                );
-                                                states[victim].spill = Some(ticket);
-                                                ready.push(victim);
-                                                snapshot.push(states[victim].as_queued());
-                                            }
-                                            None => {
-                                                pool.evict(&mut states[victim].table);
-                                                restarted_prefill_tokens +=
-                                                    Tokens::new(states[victim].context_tokens());
-                                                self.requeue_for_reprefill(&mut states[victim]);
-                                                cc_queue.push(victim);
-                                            }
-                                        }
-                                        if admit(
-                                            &mut states,
-                                            &mut batch,
-                                            pool,
-                                            &mut dma,
-                                            &mut dma_cycles,
-                                        ) {
-                                            break;
-                                        }
-                                    }
-                                }
-                                snapshot.swap_remove(pick);
-                                ready.swap_remove(pick);
-                                if states[idx].decode_start == 0 {
-                                    states[idx].decode_start = now;
-                                }
-                                batch.push(idx);
-                            }
-                        }
-                        // Growth: room for the token each stream generates
-                        // this step. Under pressure the least-urgent member
-                        // is evicted — possibly the grower itself; a sole
-                        // remaining stream always grows (the pool's
-                        // sole-owner escape hatch), so this terminates.
-                        let mut i = 0;
-                        while i < batch.len() {
-                            let idx = batch[i];
-                            let target = Tokens::new(states[idx].context_tokens() + 1);
-                            if pool.try_grow_to(&mut states[idx].table, target) {
-                                i += 1;
-                                continue;
-                            }
-                            if accounted && batch.len() == 1 {
-                                // Sole batch member, but CC/ready streams hold
-                                // accounted blocks so the pool's own
-                                // sole-owner hatch stays shut: force the
-                                // growth — decode must always progress.
-                                pool.grow_to_forced(&mut states[idx].table, target);
-                                i += 1;
-                                continue;
-                            }
-                            // lint:allow(no-unwrap): loop guard keeps batch non-empty
-                            let pos = worst_of(&states, &batch).expect("non-empty batch");
-                            let victim = batch.remove(pos);
-                            match pool.try_spill(&mut states[victim].table) {
-                                Some(ticket) => {
-                                    dma_cycles +=
-                                        Self::dma_transfer_cycles(&mut dma, ticket.bytes(), now);
-                                    states[victim].spill = Some(ticket);
-                                    ready.push(victim);
-                                }
-                                None => {
-                                    pool.evict(&mut states[victim].table);
-                                    restarted_prefill_tokens +=
-                                        Tokens::new(states[victim].context_tokens());
-                                    self.requeue_for_reprefill(&mut states[victim]);
-                                    cc_queue.push(victim);
-                                }
-                            }
-                            if pos < i {
-                                i -= 1;
-                            }
-                        }
-                        if !batch.is_empty() {
-                            // Spill/restore/copy DMA serialises with the step
-                            // that triggered it: the batch stalls until the
-                            // images have moved.
-                            let step = self.paged_step_cycles_fast(
-                                &states,
-                                &batch,
-                                pool.kv_traffic_factor(),
-                                &mut kv_costs,
-                                &mut weight_memo,
-                            );
-                            events.push(now + step + dma_cycles, Event::StepDone);
-                            step_in_flight = true;
-                            decode_steps += 1;
-                        }
-                    }
-                }
-            }
-
-            queue_samples.push(QueueSample {
-                time_s: now.seconds_at(clock_hz),
-                waiting: cc_queue.len() + ready.len(),
-                active: batch.len(),
-                kv_bytes: paged
-                    .as_ref()
-                    .map_or(kv.reserved_bytes(), |pool| pool.occupied_bytes()),
-            });
-        }
-
-        scratch.samples_hint = queue_samples.len();
-        let report = self.assemble_report(
-            &states,
-            &completed_order,
-            &rejected_order,
-            queue_samples,
-            decode_steps,
-            preemptions,
-            restarted_prefill_tokens,
-            &kv,
-            paged.as_ref(),
-        );
-        // Hand the allocations back for the next run.
-        scratch.states = states;
-        scratch.order = order;
-        scratch.events = events;
-        scratch.cc_queue = cc_queue;
-        scratch.ready = ready;
-        scratch.batch = batch;
-        scratch.completed_order = completed_order;
-        scratch.rejected_order = rejected_order;
-        scratch.kv_costs = kv_costs;
-        scratch.step_memo = step_memo;
-        scratch.weight_memo = weight_memo;
-        report
     }
 }
 
@@ -3181,6 +2419,45 @@ mod tests {
             let reference = sim.run_reference(&traces[ti], kind.policy());
             assert_eq!(heap, reference, "engines diverged: {config:?} {kind:?}");
         });
+    }
+
+    /// Picks the most recently queued candidate: a policy whose choice
+    /// depends on queue order, so the order same-cycle arrivals enter the
+    /// CC queue in shows in the report.
+    #[derive(Debug)]
+    struct NewestQueued;
+
+    impl SchedulePolicy for NewestQueued {
+        fn name(&self) -> &'static str {
+            "newest-queued"
+        }
+
+        fn choose(&self, queued: &[QueuedRequest]) -> usize {
+            queued.len() - 1
+        }
+    }
+
+    #[test]
+    fn same_cycle_arrivals_queue_in_id_order_whatever_the_push_order() {
+        // A burst of same-instant arrivals plus Poisson traffic, served in
+        // submission order and reversed: the engines queue same-cycle
+        // arrivals by id, so an order-sensitive policy sees one queue.
+        let m = machine();
+        let sim = simulator(&m, 2);
+        let trace = crate::trace::merge(&[
+            TraceConfig::saturated(5, 16, 8).generate(),
+            TraceConfig::interactive(6, 40.0, 5).generate(),
+        ]);
+        let reversed: Vec<ServeRequest> = trace.iter().rev().copied().collect();
+        let forward = sim.run(&trace, &NewestQueued);
+        assert_eq!(sim.run(&reversed, &NewestQueued), forward);
+        assert_eq!(sim.run_reference(&reversed, &NewestQueued), forward);
+        let mut scratch = ServeScratch::new();
+        let mut engine = sim.engine(&NewestQueued, &mut scratch);
+        for request in &reversed {
+            engine.push(request);
+        }
+        assert_eq!(engine.finish(), forward);
     }
 
     #[test]

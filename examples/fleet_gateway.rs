@@ -48,19 +48,18 @@ fn main() {
         trace.len()
     );
     println!(
-        "{:<16} {:>6} {:>10} {:>10} {:>10} {:>10}",
-        "routing", "SLO%", "restarted", "imbalance", "makespan", "stale-ev"
+        "{:<16} {:>6} {:>10} {:>10} {:>10}",
+        "routing", "SLO%", "restarted", "imbalance", "makespan"
     );
     for kind in RoutingKind::ALL {
         let report = system.serve_fleet(&model, &trace, REPLICAS, kind, options);
         println!(
-            "{:<16} {:>5.1}% {:>10} {:>10.2} {:>8.2} s {:>10}",
+            "{:<16} {:>5.1}% {:>10} {:>10.2} {:>8.2} s",
             kind.name(),
             report.slo_attainment() * 100.0,
             report.restarted_prefill_tokens(),
             report.load_imbalance(),
             report.makespan_s,
-            report.stale_completions,
         );
     }
 

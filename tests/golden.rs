@@ -10,7 +10,9 @@
 //! reproduction never drifts silently away from the paper.
 
 use edgemm::figures::{fig11_hetero, fig12_pruning, table1_models, table2_gpu_comparison};
-use edgemm::serve::{merge, AdmissionControl, PolicyKind, Priority, ServeReport, TraceConfig};
+use edgemm::serve::{
+    merge, AdmissionControl, PolicyKind, Priority, ServeReport, ServeRequest, TraceConfig,
+};
 use edgemm::units::{Bytes, Tokens};
 use edgemm::{EdgeMm, FleetReport, RequestOptions, RoutingKind, ServeOptions};
 use edgemm_mllm::{zoo, ModelWorkload};
@@ -754,4 +756,116 @@ fn golden_fleet_routing_point() {
             makespan_s,
         );
     }
+}
+
+/// FNV-1a-64 of a fleet run's assignments, per-replica reports and
+/// makespan `Debug` bytes: every routing decision and every replica
+/// timeline at full precision.
+fn fleet_digest(report: &FleetReport) -> u64 {
+    let pinned = (&report.assignments, &report.replicas, report.makespan_s);
+    edgemm::mem::fnv1a_64(format!("{pinned:?}").as_bytes())
+}
+
+/// Whole fleet runs pinned exactly, on three traces:
+///
+/// * the `golden_fleet_routing_point` setup (16 replicas, all four
+///   policies);
+/// * a burst of ten same-instant arrivals followed by Poisson traffic over
+///   3 replicas, where routing at an instant must see the work the same
+///   instant's earlier arrivals already started (the replay rule of
+///   `ServeScratch::push`);
+/// * the benchmark's `fleet_route` trace at seed 23 under least-KV over 16
+///   replicas (433 requests).
+#[test]
+fn golden_fleet_report_digests() {
+    let system = EdgeMm::paper_default();
+    let model = zoo::sphinx_tiny();
+    let long_background = |requests: usize, rate: f64, seed: u64| {
+        TraceConfig {
+            text_tokens: (512, 768),
+            ..TraceConfig::background(requests, rate, seed)
+        }
+        .generate()
+    };
+    let routing_point = merge(&[
+        TraceConfig::multi_tenant(6, 96, 48.0, 23).generate(),
+        long_background(8, 12.0, 123),
+    ]);
+    let routing_options = ServeOptions {
+        prefix_sharing: true,
+        ..ServeOptions::memory_aware(Bytes::new(8 << 20), 64).paged(16)
+    };
+    let burst = merge(&[
+        TraceConfig::multi_tenant(3, 10, f64::INFINITY, 7).generate(),
+        TraceConfig::interactive(8, 40.0, 9).generate(),
+    ]);
+    assert_eq!(burst.len(), 18);
+    assert_eq!(
+        burst
+            .iter()
+            .filter(|r| edgemm::float::is_zero(r.arrival_s))
+            .count(),
+        10
+    );
+    let burst_options = ServeOptions::memory_aware(Bytes::new(256 << 10), 32)
+        .paged(16)
+        .shared_prefixes(Bytes::new(8 << 20));
+    let bench_trace = merge(&[
+        TraceConfig::multi_tenant(6, 400, 48.0, 23).generate(),
+        long_background(400 / 12, 12.0, 123),
+    ]);
+    assert_eq!(bench_trace.len(), 433);
+
+    let check = |label: &str, trace: &[ServeRequest], replicas, kind, options, golden: u64| {
+        let report = system.serve_fleet(&model, trace, replicas, kind, options);
+        let digest = fleet_digest(&report);
+        if probing() {
+            println!("fleet_digest.{label} = {digest:#018x}");
+        } else {
+            assert_eq!(
+                digest, golden,
+                "fleet_digest.{label} drifted to {digest:#018x}"
+            );
+        }
+    };
+    let per_policy = [
+        (
+            "routing_point",
+            routing_point.as_slice(),
+            16,
+            routing_options,
+            [
+                0x47c0_47fd_28da_65bc,
+                0x273c_b162_07f9_a6f0,
+                0x3277_0006_ccc8_89cd,
+                0x7a5f_4525_e375_8953,
+            ],
+        ),
+        (
+            "burst",
+            burst.as_slice(),
+            3,
+            burst_options,
+            [
+                0x0a0a_0ef9_2de4_b019,
+                0x93ce_dbce_03e5_ffda,
+                0xff21_4604_654f_6ca6,
+                0x0d68_9e69_80dd_c4df,
+            ],
+        ),
+    ];
+    for (name, trace, replicas, options, digests) in per_policy {
+        for (kind, golden) in RoutingKind::ALL.into_iter().zip(digests) {
+            let label = format!("{name}.{}", kind.name());
+            check(&label, trace, replicas, kind, options, golden);
+        }
+    }
+    check(
+        "fleet_route.seed23.least-kv",
+        &bench_trace,
+        16,
+        RoutingKind::LeastKvLoaded,
+        routing_options,
+        0xf204_85a7_a3a4_8637,
+    );
 }

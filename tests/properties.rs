@@ -4,7 +4,7 @@
 use edgemm::arch::{ChipConfig, CimGeometry, SystolicGeometry};
 use edgemm::serve::{
     AdmissionControl, BlockTable, KvPool, PagedKvPool, PolicyKind, ServeConfig, ServeRequest,
-    ServeSimulator, SloClass, TraceConfig,
+    ServeScratch, ServeSimulator, SloClass, TraceConfig,
 };
 use edgemm::sim::{DecodeOptions, Machine, PruningEffect, SimConfig};
 use edgemm::units::{Bytes, Tokens};
@@ -899,10 +899,11 @@ proptest! {
         prop_assert_eq!(report.assignments.len(), trace.len());
         prop_assert!(report.assignments.iter().all(|&r| r < replicas));
         prop_assert_eq!(report.completed() + report.rejected(), trace.len());
-        prop_assert_eq!(
-            report.completion_events + report.stale_completions,
-            trace.len() as u64
-        );
+        // The retired event counters keep fixed meanings: replicas that
+        // served at least one request, and no stale events.
+        let busy = report.replicas.iter().filter(|r| r.submitted() > 0).count();
+        prop_assert_eq!(report.completion_events, busy as u64);
+        prop_assert_eq!(report.stale_completions, 0);
         // Each replica reports exactly the requests routed to it …
         for (r, replica) in report.replicas.iter().enumerate() {
             let assigned = report.assignments.iter().filter(|&&a| a == r).count();
@@ -959,12 +960,138 @@ proptest! {
             pooled.concat().into_bytes()
         );
     }
+
+    /// The resumable engine is the one-shot engine: pushing a trace one
+    /// request at a time, with an advance to a random instant between the
+    /// previous arrival and this one before each push (at times this
+    /// arrival's exact instant, so same-instant pushes replay), finishes
+    /// with the Debug bytes of [`ServeSimulator::run`] — under every
+    /// serving preset family of `fleet_of_one_is_byte_identical_to_serve`,
+    /// on a same-instant burst merged with Poisson traffic.
+    #[test]
+    fn resumable_engine_is_byte_identical_to_run(
+        burst in 1usize..5,
+        requests in 1usize..6,
+        rate in 1.0f64..200.0,
+        seed in 0u64..1000,
+        cuts in proptest::collection::vec(0.0f64..1.25, 12..13),
+    ) {
+        let machine = Machine::new(SimConfig::paper_default());
+        let model = tiny_model();
+        let trace = edgemm::serve::merge(&[
+            TraceConfig::multi_tenant(2, burst, f64::INFINITY, seed).generate(),
+            TraceConfig::interactive(requests, rate, seed + 1).generate(),
+        ]);
+        for (config, policy) in preset_configs(&machine) {
+            let sim = ServeSimulator::new(&machine, model.clone(), config);
+            let mut scratch = ServeScratch::new();
+            let mut engine = sim.engine(policy.policy(), &mut scratch);
+            let mut previous = 0.0;
+            for (i, request) in trace.iter().enumerate() {
+                let cut = cuts[i % cuts.len()];
+                let instant = if cut >= 1.0 {
+                    request.arrival_s
+                } else {
+                    previous + cut * (request.arrival_s - previous)
+                };
+                engine.advance_until(instant);
+                engine.push(request);
+                prop_assert_eq!(engine.pushed(), i + 1);
+                previous = request.arrival_s;
+            }
+            let resumed = engine.finish();
+            let one_shot = sim.run(&trace, policy.policy());
+            prop_assert_eq!(
+                format!("{resumed:?}").into_bytes(),
+                format!("{one_shot:?}").into_bytes()
+            );
+        }
+    }
+
+    /// Every replica of a fleet reports exactly what a one-shot
+    /// [`EdgeMm::serve`] of its sub-trace (in submission order) reports,
+    /// for 2–5 replicas under every routing policy, on same-instant bursts
+    /// merged with Poisson traffic — the gateway routes against live
+    /// engines, so this pins that their incremental runs replay nothing
+    /// differently.
+    #[test]
+    fn fleet_replicas_equal_one_shot_serves_of_their_subtraces(
+        burst in 1usize..6,
+        requests in 1usize..6,
+        replicas in 2usize..6,
+        rate in 1.0f64..200.0,
+        seed in 0u64..1000,
+    ) {
+        let system = EdgeMm::paper_default();
+        let model = tiny_model();
+        let trace = edgemm::serve::merge(&[
+            TraceConfig::multi_tenant(3, burst, f64::INFINITY, seed).generate(),
+            TraceConfig::interactive(requests, rate, seed + 1).generate(),
+        ]);
+        let options = ServeOptions::memory_aware(Bytes::new(256 << 10), 32)
+            .paged(16)
+            .shared_prefixes(Bytes::new(8 << 20));
+        let mut session = system.serve_session(&model, options);
+        for kind in RoutingKind::ALL {
+            let fleet = system.serve_fleet(&model, &trace, replicas, kind, options);
+            for (replica, report) in fleet.replicas.iter().enumerate() {
+                let subtrace: Vec<ServeRequest> = trace
+                    .iter()
+                    .zip(&fleet.assignments)
+                    .filter(|&(_, &target)| target == replica)
+                    .map(|(request, _)| *request)
+                    .collect();
+                prop_assert_eq!(
+                    format!("{report:?}").into_bytes(),
+                    format!("{:?}", session.serve(&subtrace)).into_bytes()
+                );
+            }
+        }
+    }
+}
+
+/// The six serving preset families of `fleet_of_one_is_byte_identical_to_serve`
+/// (plain batching, pruning, SLO-aware, memory-aware, paged, paged + shared
+/// prefixes), lowered onto engine configurations the way the facade lowers
+/// [`ServeOptions`] — with a fixed pruning keep ratio instead of a measured
+/// one.
+fn preset_configs(machine: &Machine) -> [(ServeConfig, PolicyKind); 6] {
+    let onchip = machine
+        .config()
+        .chip
+        .total_data_memory(edgemm::arch::ClusterKind::MemoryCentric);
+    let pool = KvPool::with_budget(Bytes::new(256 << 10))
+        .with_onchip(Bytes::new(onchip))
+        .with_spill_penalty(edgemm::DEFAULT_SPILL_PENALTY);
+    let pruned = |config: ServeConfig| ServeConfig {
+        pruning: PruningEffect::with_keep_ratio(0.3),
+        ..config
+    };
+    let slo_aware = pruned(ServeConfig::with_batch_cap(8)).with_admission(AdmissionControl::Defer);
+    let memory_aware = pruned(ServeConfig::new())
+        .with_admission(AdmissionControl::Defer)
+        .with_kv_pool(pool)
+        .with_chunk_tokens(32);
+    let paged = memory_aware.with_block_tokens(16);
+    let shared = paged
+        .with_prefix_sharing()
+        .with_eager_kv_accounting()
+        .with_spill_capacity(Bytes::new(8 << 20));
+    let edf = PolicyKind::EarliestDeadlineFirst;
+    [
+        (ServeConfig::with_batch_cap(2), PolicyKind::Fcfs),
+        (pruned(ServeConfig::with_batch_cap(8)), PolicyKind::Fcfs),
+        (slo_aware, edf),
+        (memory_aware, edf),
+        (paged, edf),
+        (shared, edf),
+    ]
 }
 
 /// Hand-rendered JSON summary of a [`edgemm::serve::ServeReport`] (the
-/// serde shim's derives are no-ops, so byte-level JSON comparison needs a
-/// real renderer). `{:?}` on the floats round-trips full precision, which
-/// is what makes byte equality equivalent to value equality.
+/// workspace has no serialiser, so byte-level JSON comparison needs a
+/// renderer of its own). `{:?}` on the floats round-trips full precision,
+/// which is what makes byte equality equivalent to value equality.
 fn report_json(report: &edgemm::serve::ServeReport) -> String {
     format!(
         "{{\"completed\": {}, \"rejected\": {}, \"p50_latency_s\": {:?}, \
