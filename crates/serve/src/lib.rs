@@ -71,11 +71,12 @@
 //!
 //! Per-request costs are taken from the cycle-level machine model
 //! ([`edgemm_sim::Machine::prefill_chunk_costs`] /
-//! [`edgemm_sim::Machine::decode_step_costs`]), so serving results stay
+//! [`edgemm_sim::Machine::decode_step_costs_at`]), so serving results stay
 //! consistent with the single-request evaluation: a request served alone
 //! under the unchunked, unbounded configuration costs exactly its
-//! [`edgemm_sim::Machine::run_request`] latency. One stream-batched decode
-//! step costs, per operator,
+//! [`edgemm_sim::Machine::run_request`] latency, in integer cycles (pinned,
+//! dense and pruned, by the simulator's `single_request_matches_solo_cost`
+//! test). One stream-batched decode step costs, per operator,
 //!
 //! ```text
 //! step_cycles = Σ_ops max( Σ_streams compute,
@@ -91,6 +92,26 @@
 //! tier is read back without touching DRAM, KV spilled past it re-streams
 //! every step at a penalty (scattered per-stream blocks, not one bulk
 //! burst). With the unbounded default pool the factor is exactly 1.0.
+//!
+//! The engine evaluates the same sum factored. A weight-facing operator
+//! carries no KV traffic and costs the same for every stream, and each
+//! layer's two KV-facing operators (score, then context aggregation) have
+//! the same shapes in every layer. For a batch of `B` streams over `L`
+//! layers that gives
+//!
+//! ```text
+//! step_cycles = Σ_weight_ops max(B · compute, DRAM)
+//!             + L · max( Σ_streams score compute, kv_factor · Σ_streams score DRAM )
+//!             + L · max( Σ_streams aggregation compute, kv_factor · Σ_streams aggregation DRAM )
+//! ```
+//!
+//! where each stream's KV operators are priced at its actual context when
+//! paged and at its request-average context otherwise. The first term
+//! depends on `B` alone and is priced once per batch size. The reference
+//! engine (`run_reference`, behind the `reference` feature) keeps the
+//! per-operator sum itself, `reference_step_cycles`, over
+//! [`edgemm_sim::Machine::decode_step_costs_at`]; cycles are integers, so
+//! the two agree bit for bit and the differential suite holds them to it.
 //!
 //! Chunked prefill prices each chunk with causal attention against the
 //! actually-cached prefix (chunk `i` reads `i` chunks' worth of KV, not the

@@ -36,15 +36,25 @@
 //! [`ServeReport::rejected`]).
 //!
 //! Costs come from the cycle-level simulator (`edgemm-sim`), not from a
-//! separate analytic model: each request's prefill chunks are
-//! [`Machine::prefill_chunk_costs`] results, and its decode steps are
-//! per-operator [`Machine::decode_step_costs`] that the step combiner
-//! merges across the batch — weight fetches are shared between streams (the
-//! Fig. 9c weight reuse), KV-cache traffic and compute repeat per stream,
-//! and the KV traffic is scaled by the pool's spill state
-//! ([`KvPool::kv_traffic_factor`]).
+//! separate analytic model. Each request's prefill is priced on the grid
+//! of [`Machine::prefill_chunk_costs`] (no budget is one chunk of the
+//! whole prompt). A decode step of a stream batch is the per-operator sum
+//!
+//! ```text
+//! Σ_ops max( Σ_streams compute, weight DRAM + kv_factor · Σ_streams KV DRAM )
+//! ```
+//!
+//! over [`Machine::decode_step_costs_at`] — the weight fetch is shared by
+//! the batch (the Fig. 9c weight reuse), compute and KV-cache traffic
+//! repeat per stream, and the KV traffic is scaled by the pool's spill
+//! state ([`KvPool::kv_traffic_factor`]). The engine prices the same sum
+//! factored: a weight term fixed by the batch size (`StepShape`) plus, for
+//! each of the two KV operators a layer runs, the op count times one
+//! batch-summed term over each stream's context. The reference engine keeps
+//! the per-op sum itself (`reference_step_cycles`) as the oracle.
 
 use std::collections::HashMap;
+use std::iter;
 use std::sync::{Mutex, OnceLock};
 
 use edgemm_arch::ClusterKind;
@@ -284,11 +294,10 @@ struct InFlight {
     /// Peak KV-cache footprint reserved in the pool while decoding
     /// (whole-request reservations; unused by the paged allocator).
     kv_bytes: Bytes,
-    /// Per-operator cost of one average decode step, solo. In paged mode
-    /// this doubles as the *template*: the weight-facing entries are exact
-    /// at any context, and the KV-facing entries are re-priced per step at
-    /// the stream's actual context length.
-    step_costs: Vec<OpCost>,
+    /// The request's average decode context (prompt plus half the output):
+    /// the context an unpaged step prices its KV operators at.
+    average_context: usize,
+    /// One average decode step, solo.
     solo_step_cycles: Cycles,
     remaining_tokens: usize,
     /// Tokens generated so far. Survives an eviction: the text exists, only
@@ -330,6 +339,16 @@ impl InFlight {
         self.prompt_tokens + self.generated
     }
 
+    /// The context a decode step prices the stream's KV operators at: the
+    /// actual one when paged, the request average otherwise.
+    fn step_context(&self, paged: bool) -> usize {
+        if paged {
+            self.context_tokens()
+        } else {
+            self.average_context
+        }
+    }
+
     fn prefill_finished(&self) -> bool {
         self.chunks_done == self.chunk_cycles.len()
     }
@@ -345,6 +364,50 @@ impl InFlight {
             decode_cycles: self.solo_step_cycles * self.request.output_tokens,
             slo: self.request.slo,
         }
+    }
+}
+
+/// One decode step's operator stream reduced to what batching changes.
+/// A weight-facing operator costs the same at any context and its fetch
+/// is shared by the batch, so it keeps its solo compute and DRAM cycles.
+/// The KV-facing operators are the score and the context aggregation of
+/// every layer, alternating in stream order with the same shapes in every
+/// layer, so a count is all the step needs of them.
+#[derive(Debug)]
+struct StepShape {
+    /// Solo `(compute, DRAM)` cycles of each weight-facing operator.
+    weight_ops: Vec<(Cycles, Cycles)>,
+    /// How many KV-facing operators the step runs.
+    kv_ops: usize,
+}
+
+impl StepShape {
+    /// The weight-facing operators' share of a step over `streams` streams:
+    /// compute repeats per stream, the fetch is issued once.
+    fn weight_cycles(&self, streams: usize) -> Cycles {
+        self.weight_ops
+            .iter()
+            .map(|&(compute, dram)| (compute * streams).max(dram))
+            .sum()
+    }
+}
+
+/// What [`ServeSimulator::decode_step_cycles`] memoises within a run. Each
+/// key fixes its value for the simulator's lifetime, so nothing is ever
+/// invalidated; a reset clears it only because the holder may serve
+/// another simulator next.
+#[derive(Debug, Default)]
+struct DecodeMemo {
+    /// [`StepShape::weight_cycles`], indexed by batch size.
+    weight_cycles: Vec<Cycles>,
+    /// The score and aggregation costs at a cached context.
+    kv_costs: HashMap<usize, (OpCost, OpCost)>,
+}
+
+impl DecodeMemo {
+    fn clear(&mut self) {
+        self.weight_cycles.clear();
+        self.kv_costs.clear();
     }
 }
 
@@ -369,11 +432,9 @@ pub struct ServeSimulator<'a> {
     /// which request's prompt it belongs to, so the full chunks of every
     /// prompt under one budget share one entry.
     chunk_cache: Mutex<HashMap<(usize, usize), Cycles>>,
-    /// One decode step's per-operator costs in stream order, priced once at
-    /// a fixed context. Only the two KV-facing operators of each layer
-    /// depend on the context, so per-request pricing clones this template
-    /// and patches the KV entries at the request's own context.
-    step_template: OnceLock<Vec<OpCost>>,
+    /// The decode step's shape, priced once: it depends on the model and
+    /// the pruning effect alone.
+    step_shape: OnceLock<StepShape>,
 }
 
 impl<'a> ServeSimulator<'a> {
@@ -422,7 +483,7 @@ impl<'a> ServeSimulator<'a> {
             probe,
             setup_cycles: OnceLock::new(),
             chunk_cache: Mutex::new(HashMap::new()),
-            step_template: OnceLock::new(),
+            step_shape: OnceLock::new(),
         }
     }
 
@@ -435,7 +496,7 @@ impl<'a> ServeSimulator<'a> {
         clock_hz(self.machine.config().chip.clock_mhz)
     }
 
-    fn admit(&self, request: &ServeRequest) -> InFlight {
+    fn admit(&self, request: &ServeRequest, memo: &mut DecodeMemo) -> InFlight {
         let workload = ModelWorkload::new(
             self.model.clone(),
             request.text_tokens,
@@ -469,8 +530,8 @@ impl<'a> ServeSimulator<'a> {
             workload.prompt_tokens() + request.output_tokens,
             self.machine.config().mc_weight_bytes,
         ));
-        let step_costs = self.decode_step_costs_from_template(workload.average_context_tokens());
-        let solo_step_cycles = step_costs.iter().map(OpCost::latency_cycles).sum();
+        let average_context = workload.average_context_tokens();
+        let solo_step_cycles = self.decode_step_cycles(iter::once(average_context), 1.0, memo);
         let clock_hz = self.clock_hz();
         let arrival_cycle = Cycles::from_seconds_round(request.arrival_s, clock_hz);
         InFlight {
@@ -490,7 +551,7 @@ impl<'a> ServeSimulator<'a> {
             chunk_cycles,
             chunks_done: 0,
             kv_bytes,
-            step_costs,
+            average_context,
             solo_step_cycles,
             remaining_tokens: request.output_tokens,
             generated: 0,
@@ -531,97 +592,77 @@ impl<'a> ServeSimulator<'a> {
         })
     }
 
-    /// Price one prefill as the CC stage's chunk list under the configured
-    /// chunk budget: `setup_cycles` (vision encode + projector — zero for
-    /// an eviction re-prefill) folds into the first chunk, and every chunk
-    /// is clamped to one cycle because a zero-cycle stage would stall the
-    /// event loop (events must advance time).
+    /// Price one prefill as the CC stage's chunk list on the grid of
+    /// `Machine::prefill_chunk_costs`. No budget is one chunk of the whole
+    /// prompt: `prefill_chunk_ops(0, prompt)` is `prefill_ops()`, so that
+    /// chunk is the unchunked prefill. `setup_cycles` (vision encode +
+    /// projector — zero for an eviction re-prefill) folds into the first
+    /// chunk, and every chunk is clamped to one cycle because a zero-cycle
+    /// stage would stall the event loop (events must advance time).
     fn prefill_chunk_cycles(&self, workload: &ModelWorkload, setup_cycles: Cycles) -> Vec<Cycles> {
-        let cc_kind = ClusterKind::ComputeCentric;
-        match self.config.chunk_tokens {
-            None => {
-                let decode = DecodeOptions {
-                    pruning: self.config.pruning,
-                    batch: 1,
-                };
-                let prefill = self
-                    .machine
-                    .run_phase_on(workload, Phase::Prefill, cc_kind, decode)
-                    .cycles;
-                vec![(setup_cycles + prefill).max(Cycles::new(1))]
-            }
-            Some(budget) => {
-                // Same chunk grid as `Machine::prefill_chunk_costs`, with a
-                // per-simulator memo: a chunk's operators are fixed by
-                // `(cached, len)` alone, so the full chunks of every prompt
-                // under one budget are priced exactly once.
-                let prompt = workload.prompt_tokens();
-                let mut chunks = Vec::with_capacity(prompt.div_ceil(budget).max(1));
-                // lint:allow(no-unwrap): poisoning only follows a prior panic
-                let mut cache = self.chunk_cache.lock().expect("chunk cache poisoned");
-                let mut cached = 0;
-                while cached < prompt {
-                    let len = budget.min(prompt - cached);
-                    let chunk = *cache.entry((cached, len)).or_insert_with(|| {
-                        self.machine
-                            .run_ops(
-                                Phase::Prefill,
-                                &workload.prefill_chunk_ops(cached, len),
-                                cc_kind,
-                                PruningEffect::disabled(),
-                            )
-                            .cycles
-                    });
-                    let cycles = if cached == 0 {
-                        setup_cycles + chunk
-                    } else {
-                        chunk
-                    };
-                    chunks.push(cycles.max(Cycles::new(1)));
-                    cached += len;
-                }
-                if chunks.is_empty() {
-                    // A zero-token prompt still yields one (setup-only)
-                    // chunk, mirroring `Machine::prefill_chunk_costs`.
-                    chunks.push(setup_cycles.max(Cycles::new(1)));
-                }
-                chunks
-            }
+        let prompt = workload.prompt_tokens();
+        let budget = self.config.chunk_tokens.unwrap_or(prompt).max(1);
+        let mut chunks = Vec::with_capacity(prompt.div_ceil(budget).max(1));
+        // A chunk's operators are fixed by `(cached, len)` alone, so the
+        // full chunks of every prompt under one budget are priced once.
+        // lint:allow(no-unwrap): poisoning only follows a prior panic
+        let mut cache = self.chunk_cache.lock().expect("chunk cache poisoned");
+        let mut cached = 0;
+        while cached < prompt {
+            let len = budget.min(prompt - cached);
+            let chunk = *cache.entry((cached, len)).or_insert_with(|| {
+                self.machine
+                    .run_ops(
+                        Phase::Prefill,
+                        &workload.prefill_chunk_ops(cached, len),
+                        ClusterKind::ComputeCentric,
+                        PruningEffect::disabled(),
+                    )
+                    .cycles
+            });
+            let cycles = if cached == 0 {
+                setup_cycles + chunk
+            } else {
+                chunk
+            };
+            chunks.push(cycles.max(Cycles::new(1)));
+            cached += len;
         }
+        if chunks.is_empty() {
+            // A zero-token prompt still yields one (setup-only) chunk,
+            // mirroring `Machine::prefill_chunk_costs`.
+            chunks.push(setup_cycles.max(Cycles::new(1)));
+        }
+        chunks
     }
 
-    /// Per-operator costs of one decode step at `context` cached tokens, in
-    /// stream order — byte-identical to [`Machine::decode_step_costs_at`]
-    /// but assembled from the cached template: the weight-facing operators
-    /// never depend on the context, so only each layer's two KV entries
-    /// (scores, then context aggregation — they alternate in stream order)
-    /// are re-priced at the requested context.
-    fn decode_step_costs_from_template(&self, context: usize) -> Vec<OpCost> {
-        let template = self.step_template.get_or_init(|| {
-            self.machine.decode_step_costs_at(
+    /// The decode step's shape, priced at context 1 (its weight-facing
+    /// operators cost the same at any context).
+    fn step_shape(&self) -> &StepShape {
+        self.step_shape.get_or_init(|| {
+            let costs = self.machine.decode_step_costs_at(
                 &self.probe,
                 ClusterKind::MemoryCentric,
                 self.config.pruning,
                 1,
-            )
-        });
-        let (scores, aggregate) = self.kv_step_costs_at(context);
-        let mut costs = template.clone();
-        let mut kv_seen = 0usize;
-        for cost in &mut costs {
-            if cost.traffic_class == TrafficClass::KvCache {
-                *cost = if kv_seen % 2 == 0 { scores } else { aggregate };
-                kv_seen += 1;
+            );
+            let is_kv = |cost: &&OpCost| cost.traffic_class == TrafficClass::KvCache;
+            StepShape {
+                weight_ops: costs
+                    .iter()
+                    .filter(|cost| !is_kv(cost))
+                    .map(|cost| (cost.compute_cycles, cost.dram_cycles))
+                    .collect(),
+                kv_ops: costs.iter().filter(is_kv).count(),
             }
-        }
-        costs
+        })
     }
 
     /// Cost of the two KV-facing attention operators (score and context
     /// aggregation) of one decode step with exactly `context` cached tokens.
     /// The shapes depend only on the model and the context — not on the
     /// layer or the request — so one pair serves every layer of every
-    /// stream, and callers memoise per context length.
+    /// stream.
     fn kv_step_costs_at(&self, context: usize) -> (OpCost, OpCost) {
         let (scores, aggregate) = self.probe.decode_kv_ops(context);
         let kind = ClusterKind::MemoryCentric;
@@ -629,6 +670,60 @@ impl<'a> ServeSimulator<'a> {
             self.machine.op_cost(&scores, kind, self.config.pruning),
             self.machine.op_cost(&aggregate, kind, self.config.pruning),
         )
+    }
+
+    /// Cycles of one stream-batched decode step over streams whose KV
+    /// operators price at `contexts`, with the summed KV DRAM cycles scaled
+    /// by `kv_factor` — below 1.0 when the batch's caches fit the on-chip
+    /// tier, above 1.0 when a penalised majority spills to DRAM (see
+    /// [`KvPool::kv_traffic_factor`]).
+    ///
+    /// This is the reference's per-op sum reassociated. The streams share
+    /// every weight-facing operator, so those terms depend on the batch
+    /// size alone and are memoised by it. Every layer's two KV operators
+    /// have the same shapes, so the KV side is one batch-summed
+    /// `max(compute, kv_factor · DRAM)` per parity (even-indexed KV ops are
+    /// scores, odd-indexed ones aggregations) times its op count. `Cycles`
+    /// is an integer newtype, so the reassociated sum is bit-identical; the
+    /// differential suite pins it.
+    fn decode_step_cycles(
+        &self,
+        contexts: impl ExactSizeIterator<Item = usize>,
+        kv_factor: f64,
+        memo: &mut DecodeMemo,
+    ) -> Cycles {
+        let shape = self.step_shape();
+        let streams = contexts.len();
+        while memo.weight_cycles.len() <= streams {
+            let size = memo.weight_cycles.len();
+            memo.weight_cycles.push(shape.weight_cycles(size));
+        }
+        let mut scores = (Cycles::ZERO, Cycles::ZERO);
+        let mut aggregate = (Cycles::ZERO, Cycles::ZERO);
+        for context in contexts {
+            let (s, a) = memo
+                .kv_costs
+                .entry(context)
+                .or_insert_with(|| self.kv_step_costs_at(context));
+            scores.0 += s.compute_cycles;
+            scores.1 += s.dram_cycles;
+            aggregate.0 += a.compute_cycles;
+            aggregate.1 += a.dram_cycles;
+        }
+        let kv_term = |(compute, dram): (Cycles, Cycles)| {
+            // Exact integer path when the pool is neutral, so the unbounded
+            // configuration reproduces the pre-pool model byte for byte.
+            let dram = if is_one(kv_factor) {
+                dram
+            } else {
+                dram.scale_round(kv_factor)
+            };
+            compute.max(dram)
+        };
+        let total = memo.weight_cycles[streams]
+            + kv_term(scores) * shape.kv_ops.div_ceil(2)
+            + kv_term(aggregate) * (shape.kv_ops / 2);
+        total.max(Cycles::new(1))
     }
 
     /// Reset an evicted stream's CC-stage state for re-prefill: its freed
@@ -778,97 +873,6 @@ impl<'a> ServeSimulator<'a> {
         transcript.end_cycle - now
     }
 
-    /// Cycles of one stream-batched decode step for the given batch members
-    /// under the pool's current KV traffic scaling.
-    ///
-    /// All requests serve the same model, so the per-step operator streams
-    /// align positionally: for each operator, compute repeats per stream and
-    /// KV-cache traffic is per stream (every request owns its cache), while
-    /// the weight fetch is issued once and shared by the whole batch. The
-    /// summed KV DRAM cycles are scaled by `kv_factor` — below 1.0 when the
-    /// batch's caches fit the on-chip tier, above 1.0 when a penalised
-    /// majority spills to DRAM (see [`KvPool::kv_traffic_factor`]).
-    fn step_cycles(&self, states: &[InFlight], batch: &[usize], kv_factor: f64) -> Cycles {
-        let ops = states[batch[0]].step_costs.len();
-        let mut total = Cycles::ZERO;
-        for op in 0..ops {
-            let mut compute = Cycles::ZERO;
-            let mut kv_dram = Cycles::ZERO;
-            let mut weight_dram = Cycles::ZERO;
-            for &idx in batch {
-                let cost = &states[idx].step_costs[op];
-                compute += cost.compute_cycles;
-                if cost.traffic_class == TrafficClass::KvCache {
-                    kv_dram += cost.dram_cycles;
-                } else {
-                    weight_dram = weight_dram.max(cost.dram_cycles);
-                }
-            }
-            // Exact integer path when the pool is neutral, so the unbounded
-            // configuration reproduces the pre-pool model byte for byte.
-            if !is_one(kv_factor) {
-                kv_dram = kv_dram.scale_round(kv_factor);
-            }
-            total += compute.max(weight_dram + kv_dram);
-        }
-        total.max(Cycles::new(1))
-    }
-
-    /// Paged-mode variant of [`Self::step_cycles`]: the weight-facing
-    /// operators come from each stream's template (they cost the same at
-    /// any context), while the two KV-facing attention operators of every
-    /// layer are re-priced at the stream's *actual* context length —
-    /// `prompt + generated` — via the memoised `kv_costs` cache. Within
-    /// each layer the first KV operator is the score GEMV and the second
-    /// the context aggregation, in [`ModelWorkload::decode_step_ops`]
-    /// order.
-    fn paged_step_cycles(
-        &self,
-        states: &[InFlight],
-        batch: &[usize],
-        kv_factor: f64,
-        kv_costs: &mut HashMap<usize, (OpCost, OpCost)>,
-    ) -> Cycles {
-        let ops = states[batch[0]].step_costs.len();
-        let mut total = Cycles::ZERO;
-        let mut kv_ops_seen = 0usize;
-        for op in 0..ops {
-            let mut compute = Cycles::ZERO;
-            let mut kv_dram = Cycles::ZERO;
-            let mut weight_dram = Cycles::ZERO;
-            let is_kv = states[batch[0]].step_costs[op].traffic_class == TrafficClass::KvCache;
-            for &idx in batch {
-                let cost = if is_kv {
-                    let context = states[idx].context_tokens();
-                    let (scores, aggregate) = kv_costs
-                        .entry(context)
-                        .or_insert_with(|| self.kv_step_costs_at(context));
-                    if kv_ops_seen % 2 == 0 {
-                        &*scores
-                    } else {
-                        &*aggregate
-                    }
-                } else {
-                    &states[idx].step_costs[op]
-                };
-                compute += cost.compute_cycles;
-                if cost.traffic_class == TrafficClass::KvCache {
-                    kv_dram += cost.dram_cycles;
-                } else {
-                    weight_dram = weight_dram.max(cost.dram_cycles);
-                }
-            }
-            if is_kv {
-                kv_ops_seen += 1;
-            }
-            if !is_one(kv_factor) {
-                kv_dram = kv_dram.scale_round(kv_factor);
-            }
-            total += compute.max(weight_dram + kv_dram);
-        }
-        total.max(Cycles::new(1))
-    }
-
     /// Isolated end-to-end cycles of one request (no queueing, no batching):
     /// the latency lower bound that serving can only add to. Includes the
     /// configured chunking overhead and the pool's KV scaling, so it is the
@@ -876,27 +880,84 @@ impl<'a> ServeSimulator<'a> {
     /// means per-step pricing at the growing context (step `s` attends over
     /// `prompt + s` cached tokens) with blocks allocated as it grows.
     pub fn solo_cycles(&self, request: &ServeRequest) -> Cycles {
-        let state = self.admit(request);
+        let mut memo = DecodeMemo::default();
+        let state = self.admit(request, &mut memo);
+        let mut total = state.prefill_cycles;
         let Some(block_tokens) = self.config.block_tokens else {
             let mut kv = self.config.kv;
             kv.try_reserve(state.kv_bytes);
-            let states = [state];
-            let step = self.step_cycles(&states, &[0], kv.kv_traffic_factor());
-            return states[0].prefill_cycles + step * request.output_tokens;
+            let contexts = iter::once(state.average_context);
+            let step = self.decode_step_cycles(contexts, kv.kv_traffic_factor(), &mut memo);
+            return total + step * request.output_tokens;
         };
         let mut pool = PagedKvPool::new(self.config.kv, block_tokens, self.kv_bytes_per_token);
-        let mut kv_costs = HashMap::new();
-        let mut states = [state];
-        let mut total = states[0].prefill_cycles;
         let mut table = BlockTable::empty();
-        pool.try_grow_to(&mut table, Tokens::new(states[0].prompt_tokens));
-        for step in 0..request.output_tokens {
-            states[0].generated = step;
+        pool.try_grow_to(&mut table, Tokens::new(state.prompt_tokens));
+        for context in state.prompt_tokens..state.prompt_tokens + request.output_tokens {
             // A solo stream always grows (the sole-owner escape hatch).
-            pool.try_grow_to(&mut table, Tokens::new(states[0].context_tokens() + 1));
-            total += self.paged_step_cycles(&states, &[0], pool.kv_traffic_factor(), &mut kv_costs);
+            pool.try_grow_to(&mut table, Tokens::new(context + 1));
+            let factor = pool.kv_traffic_factor();
+            total += self.decode_step_cycles(iter::once(context), factor, &mut memo);
         }
         total
+    }
+
+    /// The reference engine's decode-step pricer: the per-operator sum
+    ///
+    /// ```text
+    /// Σ_ops max( Σ_streams compute, weight DRAM + kv_factor · Σ_streams KV DRAM )
+    /// ```
+    ///
+    /// over each batch member's own operator stream, priced by
+    /// [`Machine::decode_step_costs_at`] at its step context (memoised per
+    /// context in `op_streams`). All requests serve the same model, so the
+    /// streams align positionally; the weight fetch is issued once for the
+    /// batch, while compute and KV-cache traffic repeat per stream.
+    /// [`Self::decode_step_cycles`] is this sum reassociated.
+    #[cfg(any(test, feature = "reference"))]
+    fn reference_step_cycles(
+        &self,
+        states: &[InFlight],
+        batch: &[usize],
+        kv_factor: f64,
+        op_streams: &mut HashMap<usize, Vec<OpCost>>,
+    ) -> Cycles {
+        let paged = self.config.block_tokens.is_some();
+        let contexts: Vec<usize> = batch
+            .iter()
+            .map(|&idx| states[idx].step_context(paged))
+            .collect();
+        for &context in &contexts {
+            op_streams.entry(context).or_insert_with(|| {
+                self.machine.decode_step_costs_at(
+                    &self.probe,
+                    ClusterKind::MemoryCentric,
+                    self.config.pruning,
+                    context,
+                )
+            });
+        }
+        let streams: Vec<&[OpCost]> = contexts.iter().map(|c| &op_streams[c][..]).collect();
+        let mut total = Cycles::ZERO;
+        for op in 0..streams[0].len() {
+            let mut compute = Cycles::ZERO;
+            let mut kv_dram = Cycles::ZERO;
+            let mut weight_dram = Cycles::ZERO;
+            for costs in &streams {
+                let cost = &costs[op];
+                compute += cost.compute_cycles;
+                if cost.traffic_class == TrafficClass::KvCache {
+                    kv_dram += cost.dram_cycles;
+                } else {
+                    weight_dram = weight_dram.max(cost.dram_cycles);
+                }
+            }
+            if !is_one(kv_factor) {
+                kv_dram = kv_dram.scale_round(kv_factor);
+            }
+            total += compute.max(weight_dram + kv_dram);
+        }
+        total.max(Cycles::new(1))
     }
 
     /// The pre-heap reference engine: the original advance-and-scan event
@@ -920,7 +981,8 @@ impl<'a> ServeSimulator<'a> {
         policy: &dyn SchedulePolicy,
     ) -> ServeReport {
         let clock_hz = self.clock_hz();
-        let mut states: Vec<InFlight> = requests.iter().map(|r| self.admit(r)).collect();
+        let mut memo = DecodeMemo::default();
+        let mut states: Vec<InFlight> = requests.iter().map(|r| self.admit(r, &mut memo)).collect();
         {
             let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
             ids.sort_unstable();
@@ -943,7 +1005,7 @@ impl<'a> ServeSimulator<'a> {
         let cc_gated = self.config.cc_gated();
         let accounted = self.config.accounted();
         let mut dma = self.dma_engine(paged.as_ref());
-        let mut kv_costs: HashMap<usize, (OpCost, OpCost)> = HashMap::new();
+        let mut op_streams: HashMap<usize, Vec<OpCost>> = HashMap::new();
         let mut restarted_prefill_tokens = Tokens::ZERO;
         let mut completed_order: Vec<usize> = Vec::new();
         let mut rejected_order: Vec<(usize, Cycles)> = Vec::new();
@@ -1148,8 +1210,14 @@ impl<'a> ServeSimulator<'a> {
                             }
                         }
                         if !batch.is_empty() {
+                            let factor = kv.kv_traffic_factor();
                             step_end = Some(
-                                now + self.step_cycles(&states, &batch, kv.kv_traffic_factor()),
+                                now + self.reference_step_cycles(
+                                    &states,
+                                    &batch,
+                                    factor,
+                                    &mut op_streams,
+                                ),
                             );
                             decode_steps += 1;
                         }
@@ -1344,11 +1412,11 @@ impl<'a> ServeSimulator<'a> {
                         if !batch.is_empty() {
                             // DMA serialises with the step that triggered it.
                             step_end = Some(
-                                now + self.paged_step_cycles(
+                                now + self.reference_step_cycles(
                                     &states,
                                     &batch,
                                     pool.kv_traffic_factor(),
-                                    &mut kv_costs,
+                                    &mut op_streams,
                                 ) + dma_cycles,
                             );
                             decode_steps += 1;
@@ -1458,101 +1526,6 @@ impl<'a> ServeSimulator<'a> {
             makespan_s,
         }
     }
-
-    /// [`Self::step_cycles`] memoised on the decode-batch composition (and
-    /// the pool's KV traffic factor, which scales the summed KV DRAM term).
-    /// Non-paged streams price at their request-average context, so the
-    /// batch members and the factor determine the step exactly; the memo
-    /// needs no invalidation because the key captures everything the
-    /// computation reads.
-    fn step_cycles_memo(
-        &self,
-        states: &[InFlight],
-        batch: &[usize],
-        kv_factor: f64,
-        memo: &mut HashMap<(Vec<usize>, u64), Cycles>,
-    ) -> Cycles {
-        let key = (batch.to_vec(), kv_factor.to_bits());
-        if let Some(&cycles) = memo.get(&key) {
-            return cycles;
-        }
-        let cycles = self.step_cycles(states, batch, kv_factor);
-        memo.insert(key, cycles);
-        cycles
-    }
-
-    /// Incremental [`Self::paged_step_cycles`]: the same sum, reassociated
-    /// so each step costs `O(batch)` instead of `O(ops × batch)`.
-    ///
-    /// The per-op terms split by traffic class:
-    ///
-    /// * **Weight-facing ops** cost the same at any context, so their summed
-    ///   contribution depends only on the batch composition — memoised in
-    ///   `weight_memo` (keyed by the batch vector; joins, leaves and
-    ///   evictions change the key, which *is* the invalidation).
-    /// * **KV-facing ops** alternate score / aggregation per layer with
-    ///   identical shapes in every layer, so the whole KV side collapses to
-    ///   two batch-summed terms (one per parity) multiplied by the op
-    ///   counts. `Cycles` is an integer newtype — the reassociated sums are
-    ///   bit-identical to the reference's per-op accumulation, which the
-    ///   differential suite pins.
-    fn paged_step_cycles_fast(
-        &self,
-        states: &[InFlight],
-        batch: &[usize],
-        kv_factor: f64,
-        kv_costs: &mut HashMap<usize, (OpCost, OpCost)>,
-        weight_memo: &mut HashMap<Vec<usize>, (Cycles, usize)>,
-    ) -> Cycles {
-        let (weight_part, kv_ops) = match weight_memo.get(batch) {
-            Some(&entry) => entry,
-            None => {
-                let ops = states[batch[0]].step_costs.len();
-                let mut weight_part = Cycles::ZERO;
-                let mut kv_ops = 0usize;
-                for op in 0..ops {
-                    if states[batch[0]].step_costs[op].traffic_class == TrafficClass::KvCache {
-                        kv_ops += 1;
-                        continue;
-                    }
-                    let mut compute = Cycles::ZERO;
-                    let mut weight_dram = Cycles::ZERO;
-                    for &idx in batch {
-                        let cost = &states[idx].step_costs[op];
-                        compute += cost.compute_cycles;
-                        weight_dram = weight_dram.max(cost.dram_cycles);
-                    }
-                    weight_part += compute.max(weight_dram);
-                }
-                weight_memo.insert(batch.to_vec(), (weight_part, kv_ops));
-                (weight_part, kv_ops)
-            }
-        };
-        // One batch-summed (compute, dram) pair per parity: even-indexed KV
-        // ops are the score GEMV, odd-indexed ones the context aggregation.
-        let mut scores_compute = Cycles::ZERO;
-        let mut scores_dram = Cycles::ZERO;
-        let mut aggregate_compute = Cycles::ZERO;
-        let mut aggregate_dram = Cycles::ZERO;
-        for &idx in batch {
-            let context = states[idx].context_tokens();
-            let (scores, aggregate) = kv_costs
-                .entry(context)
-                .or_insert_with(|| self.kv_step_costs_at(context));
-            scores_compute += scores.compute_cycles;
-            scores_dram += scores.dram_cycles;
-            aggregate_compute += aggregate.compute_cycles;
-            aggregate_dram += aggregate.dram_cycles;
-        }
-        if !is_one(kv_factor) {
-            scores_dram = scores_dram.scale_round(kv_factor);
-            aggregate_dram = aggregate_dram.scale_round(kv_factor);
-        }
-        let even_term = scores_compute.max(scores_dram);
-        let odd_term = aggregate_compute.max(aggregate_dram);
-        let total = weight_part + even_term * kv_ops.div_ceil(2) + odd_term * (kv_ops / 2);
-        total.max(Cycles::new(1))
-    }
 }
 
 #[cfg(test)]
@@ -1578,18 +1551,42 @@ mod tests {
 
     #[test]
     fn single_request_matches_solo_cost() {
+        // Under the unchunked, unbounded configuration a lone request costs
+        // exactly its single-request `Machine::run_request` latency, in
+        // integer cycles, dense and pruned; serving it alone takes exactly
+        // that long.
         let m = machine();
-        let sim = simulator(&m, 4);
-        let request = ServeRequest::new(0, 0.0, 20, 8);
-        let report = sim.run(&[request], &Fcfs);
-        assert_eq!(report.completed.len(), 1);
         let clock_hz = m.config().chip.clock_mhz as f64 * 1.0e6;
-        let expected_s = sim.solo_cycles(&request).seconds_at(clock_hz);
-        let got = report.completed[0].latency_s();
-        assert!(
-            (got - expected_s).abs() / expected_s < 1e-12,
-            "solo latency {got} vs expected {expected_s}"
-        );
+        for pruning in [
+            PruningEffect::disabled(),
+            PruningEffect::with_keep_ratio(0.3),
+        ] {
+            let config = ServeConfig {
+                pruning,
+                ..ServeConfig::with_batch_cap(4)
+            };
+            let sim = ServeSimulator::new(&m, zoo::sphinx_tiny(), config);
+            for (text, output) in [(20, 8), (0, 1), (96, 33), (300, 64)] {
+                let request = ServeRequest::new(0, 0.0, text, output);
+                let workload = ModelWorkload::new(zoo::sphinx_tiny(), text, output);
+                let single = m.run_request(&workload, DecodeOptions { pruning, batch: 1 });
+                let solo = sim.solo_cycles(&request);
+                assert_eq!(
+                    solo,
+                    single.total_cycles(),
+                    "{text}/{output} tokens at keep {}",
+                    pruning.keep_ratio
+                );
+                let report = sim.run(&[request], &Fcfs);
+                assert_eq!(report.completed.len(), 1);
+                let expected_s = solo.seconds_at(clock_hz);
+                let got = report.completed[0].latency_s();
+                assert!(
+                    (got - expected_s).abs() / expected_s < 1e-12,
+                    "solo latency {got} vs expected {expected_s}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1639,6 +1636,41 @@ mod tests {
         );
         assert!(batched.mean_batch_occupancy() > 2.0);
         assert!(serial.mean_batch_occupancy() <= 1.0 + 1e-12);
+    }
+
+    #[test]
+    fn factored_step_pricing_matches_the_per_op_sum_at_any_batch() {
+        // The serving differentials never batch enough streams to make a
+        // weight-facing op compute-bound (25 on SPHINX-Tiny), so price such
+        // batches here against the reference's per-op sum, in both modes
+        // and at neutral, on-chip and spilled KV factors.
+        let m = machine();
+        for config in [ServeConfig::new(), ServeConfig::new().with_block_tokens(16)] {
+            let sim = ServeSimulator::new(&m, zoo::sphinx_tiny(), config);
+            let paged = config.block_tokens.is_some();
+            let mut memo = DecodeMemo::default();
+            let mut states: Vec<InFlight> = (0..64)
+                .map(|i| ServeRequest::new(i, 0.0, 7 * i as usize, 1 + 3 * i as usize))
+                .map(|request| sim.admit(&request, &mut memo))
+                .collect();
+            for (i, state) in states.iter_mut().enumerate() {
+                state.generated = i % 5;
+            }
+            let shape = sim.step_shape();
+            assert!(shape.weight_ops.iter().any(|&(c, d)| c * 64usize > d));
+            let mut op_streams = HashMap::new();
+            for streams in [1, 8, 25, 40, 64] {
+                let batch: Vec<usize> = (0..streams).collect();
+                for kv_factor in [1.0, 0.0, 0.6, 1.25] {
+                    let contexts = batch.iter().map(|&idx| states[idx].step_context(paged));
+                    assert_eq!(
+                        sim.decode_step_cycles(contexts, kv_factor, &mut memo),
+                        sim.reference_step_cycles(&states, &batch, kv_factor, &mut op_streams),
+                        "{streams} streams at KV factor {kv_factor}, paged: {paged}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,10 @@
 //! The resumable heap engine behind [`ServeSimulator::run`].
 
-use std::collections::HashMap;
-
 use edgemm_core::units::{Bytes, Cycles, Tokens};
 use edgemm_event::EventQueue;
 use edgemm_mem::{DmaEngine, KvPool, PagedKvPool};
-use edgemm_sim::OpCost;
 
-use super::{InFlight, ServeSimulator};
+use super::{DecodeMemo, InFlight, ServeSimulator};
 use crate::metrics::{QueueSample, ServeReport};
 use crate::policy::{QueuedRequest, SchedulePolicy};
 use crate::request::ServeRequest;
@@ -28,9 +25,9 @@ enum Event {
 /// The state of one serve run, and the allocations it reuses across runs.
 ///
 /// [`ServeSimulator::engine`] resets it and hands out a [`ServeEngine`]
-/// over it. The reset keeps each collection's capacity, never its content
-/// (the memos are keyed by request index), so a reused scratch runs
-/// byte-identically to a fresh one, minus the allocations.
+/// over it. The reset keeps each collection's capacity, never its content,
+/// so a reused scratch runs byte-identically to a fresh one, minus the
+/// allocations.
 #[derive(Debug, Default)]
 pub struct ServeScratch {
     /// Every pushed request, in push order.
@@ -57,9 +54,7 @@ pub struct ServeScratch {
     kv: KvPool,
     paged: Option<PagedKvPool>,
     dma: Option<DmaEngine>,
-    kv_costs: HashMap<usize, (OpCost, OpCost)>,
-    step_memo: HashMap<(Vec<usize>, u64), Cycles>,
-    weight_memo: HashMap<Vec<usize>, (Cycles, usize)>,
+    decode_memo: DecodeMemo,
     completed_order: Vec<usize>,
     rejected_order: Vec<(usize, Cycles)>,
     queue_samples: Vec<QueueSample>,
@@ -92,9 +87,7 @@ impl ServeScratch {
         self.kv = simulator.config.kv;
         self.paged = simulator.paged_pool();
         self.dma = simulator.dma_engine(self.paged.as_ref());
-        self.kv_costs.clear();
-        self.step_memo.clear();
-        self.weight_memo.clear();
+        self.decode_memo.clear();
         self.completed_order.clear();
         self.rejected_order.clear();
         self.queue_samples.clear();
@@ -146,10 +139,9 @@ impl<'a> ServeSimulator<'a> {
     /// timelines plus aggregate metrics.
     ///
     /// This is the heap-scheduled [`ServeEngine`] with every request pushed
-    /// up front. Step pricing is incremental (see the private
-    /// `paged_step_cycles_fast` and `step_cycles_memo` helpers). The report
-    /// is byte-identical to the reference engine's — pinned by the
-    /// differential suite.
+    /// up front. Steps are priced by the factored `decode_step_cycles`, and
+    /// the report is byte-identical to the reference engine's — pinned by
+    /// the differential suite.
     ///
     /// # Panics
     ///
@@ -190,16 +182,17 @@ impl ServeEngine<'_, '_> {
     /// re-process on the next advance. Either way the finished report is
     /// byte-identical to a one-shot run of every pushed request.
     pub fn push(&mut self, request: &ServeRequest) {
-        let state = self.simulator.admit(request);
         let s = &mut *self.scratch;
+        let state = self.simulator.admit(request, &mut s.decode_memo);
         if s.last_event.is_some_and(|last| state.arrival_cycle <= last) {
             let mut states = std::mem::take(&mut s.states);
             states.push(state);
             states.sort_by_key(|state| (state.arrival_cycle, state.request.id));
             s.reset(self.simulator);
+            let memo = &mut s.decode_memo;
             let admitted = states
                 .iter()
-                .map(|state| self.simulator.admit(&state.request));
+                .map(|state| self.simulator.admit(&state.request, memo));
             s.states.extend(admitted);
         } else {
             s.states.push(state);
@@ -510,21 +503,15 @@ impl ServeEngine<'_, '_> {
         if s.batch.is_empty() {
             return;
         }
-        let step = match s.paged.as_ref() {
-            None => {
-                let factor = s.kv.kv_traffic_factor();
-                let memo = &mut s.step_memo;
-                self.simulator
-                    .step_cycles_memo(&s.states, &s.batch, factor, memo)
-            }
-            Some(pool) => self.simulator.paged_step_cycles_fast(
-                &s.states,
-                &s.batch,
-                pool.kv_traffic_factor(),
-                &mut s.kv_costs,
-                &mut s.weight_memo,
-            ),
+        let (paged, kv_factor) = match s.paged.as_ref() {
+            Some(pool) => (true, pool.kv_traffic_factor()),
+            None => (false, s.kv.kv_traffic_factor()),
         };
+        let states = &s.states;
+        let contexts = s.batch.iter().map(|&idx| states[idx].step_context(paged));
+        let step = self
+            .simulator
+            .decode_step_cycles(contexts, kv_factor, &mut s.decode_memo);
         s.events.push(now + step + dma_cycles, Event::StepDone);
         s.step_in_flight = true;
         s.decode_steps += 1;

@@ -382,11 +382,13 @@ impl Machine {
     /// Per-operator costs of one "average" decode step on `kind` (cached
     /// context = prompt plus half the output), in operator-stream order.
     ///
-    /// This is the building block the multi-request serving simulator
-    /// (`edgemm-serve`) combines across concurrent requests: weight fetches
-    /// are shared between streams of a batch while KV-cache traffic and
-    /// compute are per stream, and the per-op breakdown is what makes that
-    /// distinction possible outside this crate.
+    /// This is the step the whole-phase decode model prices:
+    /// [`Self::run_decode_step_on`] batches it and [`Self::run_decode_on`]
+    /// repeats it for every output token. The per-op breakdown keeps each
+    /// operator's traffic class, so a caller can share the weight fetches
+    /// across a stream batch while charging KV-cache traffic and compute
+    /// per stream. The serving simulator builds its step pricing on
+    /// [`Self::decode_step_costs_at`] instead, at explicit contexts.
     pub fn decode_step_costs(
         &self,
         workload: &ModelWorkload,

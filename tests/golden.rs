@@ -869,3 +869,96 @@ fn golden_fleet_report_digests() {
         0xf204_85a7_a3a4_8637,
     );
 }
+
+/// Whole single-chip serve runs pinned exactly: FNV-1a-64 over each
+/// [`ServeReport`]'s `Debug` bytes (every timeline, sample and counter at
+/// full precision). One mixed trace — four tenants' interactive traffic
+/// over eight long-prompt background jobs — is served under eight config
+/// families, so every decode-step pricing mode (unpaged and paged, neutral
+/// and scaled KV traffic, pruned and dense) and both prefill modes
+/// (chunked and unchunked, with and without a bounded pool) are covered.
+/// The pruned family runs the pruning-aware policy, which orders the queue
+/// by each request's solo decode estimate, so that estimate is pinned too.
+#[test]
+fn golden_serve_report_digests() {
+    const KV_BUDGET: u64 = 8 << 20;
+    let system = EdgeMm::paper_default();
+    let model = zoo::sphinx_tiny();
+    let trace = merge(&[
+        TraceConfig::multi_tenant(4, 48, 24.0, 23).generate(),
+        TraceConfig {
+            text_tokens: (512, 768),
+            ..TraceConfig::background(8, 6.0, 123)
+        }
+        .generate(),
+    ]);
+    assert_eq!(trace.len(), 56);
+    let memory_aware = ServeOptions::memory_aware(Bytes::new(KV_BUDGET), 64);
+    let paged = memory_aware.paged(16);
+    let families: [(&str, ServeOptions, u64); 8] = [
+        (
+            "cap2",
+            ServeOptions {
+                batch_cap: Some(2),
+                ..ServeOptions::default()
+            },
+            0xffa5_b5a8_fce9_f31e,
+        ),
+        (
+            "cap8_pruned",
+            ServeOptions {
+                policy: PolicyKind::PruningAware,
+                ..ServeOptions::with_pruning()
+            },
+            0x1138_1de3_b0b2_8a9f,
+        ),
+        (
+            "slo_aware",
+            ServeOptions::slo_aware(),
+            0xa57e_5c5f_0b1a_2279,
+        ),
+        ("memory_aware.chunked", memory_aware, 0x2431_8f70_fdbb_c021),
+        (
+            "memory_aware.unchunked",
+            ServeOptions {
+                chunk_tokens: None,
+                ..memory_aware
+            },
+            0xf4e1_b6bc_3823_96cc,
+        ),
+        ("paged.chunked", paged, 0x33a6_aee8_7c75_15e3),
+        (
+            "paged.unchunked",
+            ServeOptions {
+                chunk_tokens: None,
+                ..paged
+            },
+            0xa1fe_8902_8f30_870c,
+        ),
+        (
+            "shared_spill_eager",
+            paged.shared_prefixes(Bytes::new(128 << 20)),
+            0x80a1_f0f3_21ed_8b46,
+        ),
+    ];
+    for (label, options, golden) in families {
+        let report = system.serve(&model, &trace, options);
+        let digest = edgemm::mem::fnv1a_64(format!("{report:?}").as_bytes());
+        if probing() {
+            println!(
+                "serve_digest.{label} = {digest:#018x} (completed {}, rejected {}, \
+                 preemptions {}, evictions {}, spilled {})",
+                report.completed.len(),
+                report.rejected.len(),
+                report.preemptions,
+                report.evictions,
+                report.spilled_kv_bytes
+            );
+        } else {
+            assert_eq!(
+                digest, golden,
+                "serve_digest.{label} drifted to {digest:#018x}"
+            );
+        }
+    }
+}
