@@ -10,8 +10,8 @@ use edgemm_mllm::{ActivationGenerator, ActivationProfile, MllmConfig, ModelWorkl
 use edgemm_pruning::{DynamicTopK, Pruner};
 use edgemm_sched::{Pipeline, RooflineStage};
 use edgemm_serve::{
-    AdmissionControl, PolicyKind, ServeConfig, ServeReport, ServeRequest, ServeScratch,
-    ServeSimulator, TraceConfig,
+    AdmissionControl, PolicyKind, ServeConfig, ServeCounters, ServeReport, ServeRequest,
+    ServeScratch, ServeSimulator, TraceConfig,
 };
 use edgemm_sim::{DecodeOptions, Machine, PruningEffect, RunReport, SimConfig};
 
@@ -621,12 +621,24 @@ pub struct ServeSession<'a> {
     policy: PolicyKind,
 }
 
-impl ServeSession<'_> {
+impl<'a> ServeSession<'a> {
     /// Serve one trace; byte-identical to [`EdgeMm::serve`] with the
     /// session's model and options.
     pub fn serve(&mut self, requests: &[ServeRequest]) -> ServeReport {
         self.simulator
             .run_with_scratch(requests, self.policy.policy(), &mut self.scratch)
+    }
+
+    /// The work counters of the last [`Self::serve`] call
+    /// ([`ServeScratch::counters`]).
+    pub fn counters(&self) -> ServeCounters {
+        self.scratch.counters()
+    }
+
+    /// The session's simulator, for runs under another policy on exactly
+    /// the session's configuration.
+    pub fn simulator(&self) -> &ServeSimulator<'a> {
+        &self.simulator
     }
 }
 

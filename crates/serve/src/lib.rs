@@ -44,7 +44,16 @@
 //!   [`EarliestDeadlineFirst`]) picks again at every chunk boundary; an
 //!   [`AdmissionControl`] mode decides what happens to requests whose
 //!   [TTFT](CompletedRequest::time_to_first_token_s) deadline is already
-//!   unreachable given their remaining chunks;
+//!   unreachable given their remaining chunks. A policy that ranks by a
+//!   fixed sort key exposes it as [`SchedulePolicy::cc_key`]: a
+//!   [`PolicyKey`] computed from the [`QueuedRequest`] alone, ending in
+//!   the request id, whose minimum over any queue is exactly the entry
+//!   `choose` returns. All four built-ins do. The engine then keeps the
+//!   CC queue ordered by key (split by TTFT feasibility) and walks it in
+//!   order, so a dispatch visits only the candidates it gates instead of
+//!   re-scanning the queue after every refused pick; unkeyed policies
+//!   keep the scan, with the same results ([`ServeScratch::counters`]
+//!   counts the work);
 //! * the **MC stage** decodes with *continuous batching*: every step
 //!   generates one token for each stream in the batch, finished requests
 //!   leave at step boundaries and prefilled requests join as long as the
@@ -165,11 +174,13 @@ mod trace;
 
 pub use edgemm_mem::{prefix_key, BlockTable, KvPool, PagedKvPool, PrefixAttach, SpillTicket};
 pub use metrics::{ClassStats, QueueSample, ServeReport};
+#[cfg(feature = "reference")]
+pub use policy::Unkeyed;
 pub use policy::{
-    EarliestDeadlineFirst, Fcfs, PolicyKind, PruningAware, QueuedRequest, SchedulePolicy,
-    ShortestPromptFirst,
+    EarliestDeadlineFirst, Fcfs, PolicyKey, PolicyKind, PruningAware, QueuedRequest,
+    SchedulePolicy, ShortestPromptFirst,
 };
 pub use request::{CompletedRequest, RejectedRequest, ServeRequest, SharedPrefix};
-pub use simulator::{ServeConfig, ServeEngine, ServeScratch, ServeSimulator};
+pub use simulator::{ServeConfig, ServeCounters, ServeEngine, ServeScratch, ServeSimulator};
 pub use slo::{AdmissionControl, Priority, SloClass};
 pub use trace::{merge, TraceConfig};

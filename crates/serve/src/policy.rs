@@ -12,11 +12,14 @@
 //!   ordering, so a policy governs the whole pipeline consistently.
 //!
 //! A policy sees a snapshot of the queue with per-request cost estimates and
-//! SLO classes and picks one request.
+//! SLO classes and picks one request. A policy that ranks requests by a
+//! fixed sort key can also expose it ([`SchedulePolicy::cc_key`]); the
+//! engine then keeps its CC queue ordered by that key and walks it in
+//! order, instead of offering the whole queue at every pick.
 
 use edgemm_core::units::Cycles;
 
-use crate::slo::SloClass;
+use crate::slo::{Priority, SloClass};
 
 /// A queued request as presented to a scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,6 +79,87 @@ pub trait SchedulePolicy: std::fmt::Debug {
     fn choose_join(&self, ready: &[QueuedRequest]) -> usize {
         self.choose(ready)
     }
+
+    /// The CC stage's sort key for `request`, if the policy has one.
+    ///
+    /// A key is computed from the [`QueuedRequest`] alone and ends in the
+    /// request id, so keys are unique and totally ordered, and the minimum
+    /// key over any queue must be exactly the entry [`Self::choose`]
+    /// returns for it. Return `Some` for every request or for none. With
+    /// keys, the engine keeps its CC queue ordered and visits only the
+    /// candidates it gates; the default `None` keeps the snapshot scan,
+    /// where every pick offers `choose` the whole queue.
+    ///
+    /// `f64` fields enter through [`PolicyKey::float`], which orders them
+    /// as `<` does (`-0.0` equal to `+0.0`, `+∞` above every finite value).
+    /// NaN is the exception: the scan's argmin is order-dependent around a
+    /// NaN arrival time, while a key ranks it above `+∞`.
+    fn cc_key(&self, _request: &QueuedRequest) -> Option<PolicyKey> {
+        None
+    }
+}
+
+/// `inner` with its CC key hidden: the engine then scans a snapshot for
+/// every pick. The differential suite runs keyed policies through it to
+/// hold the keyed walk to the scan, byte for byte.
+#[cfg(any(test, feature = "reference"))]
+#[derive(Debug, Clone, Copy)]
+pub struct Unkeyed<'p>(pub &'p dyn SchedulePolicy);
+
+#[cfg(any(test, feature = "reference"))]
+impl SchedulePolicy for Unkeyed<'_> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn choose(&self, queued: &[QueuedRequest]) -> usize {
+        self.0.choose(queued)
+    }
+
+    fn choose_join(&self, ready: &[QueuedRequest]) -> usize {
+        self.0.choose_join(ready)
+    }
+}
+
+/// A policy's rank of one queued request ([`SchedulePolicy::cc_key`]):
+/// up to three fields compared left to right, then the request id.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PolicyKey([u64; 4]);
+
+impl PolicyKey {
+    /// Rank by `fields` left to right, ties broken by `id`. A key with
+    /// fewer fields pads the front with zeros.
+    pub fn new(fields: [u64; 3], id: u64) -> Self {
+        let [a, b, c] = fields;
+        PolicyKey([a, b, c, id])
+    }
+
+    /// `x` as a field whose unsigned order is `x`'s numeric order: `-0.0`
+    /// and `+0.0` map to one value, and `±∞` rank beyond every finite
+    /// value. A NaN ranks beyond the infinity of its sign.
+    pub fn float(x: f64) -> u64 {
+        // Adding +0.0 turns -0.0 into +0.0 and leaves everything else as is.
+        let bits = (x + 0.0).to_bits();
+        if bits >> 63 == 0 {
+            bits | 1 << 63
+        } else {
+            !bits
+        }
+    }
+}
+
+/// A count as a key field.
+fn count_field(n: usize) -> u64 {
+    u64::try_from(n).unwrap_or(u64::MAX)
+}
+
+/// A priority as a key field, most urgent lowest.
+fn priority_field(priority: Priority) -> u64 {
+    match priority {
+        Priority::Interactive => 0,
+        Priority::Standard => 1,
+        Priority::Batch => 2,
+    }
 }
 
 fn argmin_by_key<K: PartialOrd>(
@@ -105,6 +189,10 @@ impl SchedulePolicy for Fcfs {
     fn choose(&self, queued: &[QueuedRequest]) -> usize {
         argmin_by_key(queued, |r| (r.arrival_s, r.id))
     }
+
+    fn cc_key(&self, r: &QueuedRequest) -> Option<PolicyKey> {
+        Some(PolicyKey::new([0, 0, PolicyKey::float(r.arrival_s)], r.id))
+    }
 }
 
 /// Shortest prompt first: admit the request with the fewest prompt tokens.
@@ -121,6 +209,15 @@ impl SchedulePolicy for ShortestPromptFirst {
 
     fn choose(&self, queued: &[QueuedRequest]) -> usize {
         argmin_by_key(queued, |r| (r.prompt_tokens, r.arrival_s, r.id))
+    }
+
+    fn cc_key(&self, r: &QueuedRequest) -> Option<PolicyKey> {
+        let fields = [
+            0,
+            count_field(r.prompt_tokens),
+            PolicyKey::float(r.arrival_s),
+        ];
+        Some(PolicyKey::new(fields, r.id))
     }
 }
 
@@ -140,6 +237,11 @@ impl SchedulePolicy for PruningAware {
 
     fn choose(&self, queued: &[QueuedRequest]) -> usize {
         argmin_by_key(queued, |r| (r.service_cycles(), r.arrival_s, r.id))
+    }
+
+    fn cc_key(&self, r: &QueuedRequest) -> Option<PolicyKey> {
+        let fields = [0, r.service_cycles().get(), PolicyKey::float(r.arrival_s)];
+        Some(PolicyKey::new(fields, r.id))
     }
 }
 
@@ -175,6 +277,15 @@ impl SchedulePolicy for EarliestDeadlineFirst {
 
     fn choose_join(&self, ready: &[QueuedRequest]) -> usize {
         argmin_by_key(ready, |r| (r.slo.priority, r.arrival_s, r.id))
+    }
+
+    fn cc_key(&self, r: &QueuedRequest) -> Option<PolicyKey> {
+        let fields = [
+            PolicyKey::float(r.ttft_deadline_abs()),
+            priority_field(r.slo.priority),
+            PolicyKey::float(r.arrival_s),
+        ];
+        Some(PolicyKey::new(fields, r.id))
     }
 }
 
@@ -220,6 +331,7 @@ impl PolicyKind {
 mod tests {
     use super::*;
     use crate::slo::{Priority, SloClass};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn queued(id: u64, arrival_s: f64, prompt: usize, prefill: u64, decode: u64) -> QueuedRequest {
         QueuedRequest {
@@ -329,6 +441,95 @@ mod tests {
     #[test]
     fn priorities_order_interactive_first() {
         assert!(Priority::Interactive < Priority::Batch);
+    }
+
+    /// A queue of `len` requests with distinct, shuffled ids and every
+    /// other field drawn from a pool of a few values, so each leading key
+    /// field ties often: `±0.0` arrivals, deadline-free classes at `+∞`
+    /// deadlines, equal prompts, and cost splits with equal totals.
+    fn tied_queue(rng: &mut StdRng, len: usize) -> Vec<QueuedRequest> {
+        let arrivals = [0.0, -0.0, 0.25, 0.5];
+        let prompts = [8, 8, 64];
+        let costs = [(100, 300), (300, 100), (200, 200), (50, 50)];
+        let slos = [
+            SloClass::best_effort(),
+            SloClass::batch(),
+            SloClass::interactive(),
+            SloClass::standard(),
+            SloClass::batch().with_ttft(0.25),
+        ];
+        let mut ids: Vec<u64> = (0..len as u64).map(|i| i * 7 % 64).collect();
+        for i in (1..len).rev() {
+            ids.swap(i, rng.gen_range(0..i + 1));
+        }
+        ids.into_iter()
+            .map(|id| {
+                let (prefill, decode) = costs[rng.gen_range(0..costs.len())];
+                queued(
+                    id,
+                    arrivals[rng.gen_range(0..arrivals.len())],
+                    prompts[rng.gen_range(0..prompts.len())],
+                    prefill,
+                    decode,
+                )
+                .into_slo(slos[rng.gen_range(0..slos.len())])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_minimum_cc_key_is_the_scan_pick() {
+        let mut rng = StdRng::seed_from_u64(29);
+        for round in 0..4_000 {
+            let len = rng.gen_range(1..10);
+            let queue = tied_queue(&mut rng, len);
+            for kind in PolicyKind::ALL {
+                let policy = kind.policy();
+                let keys: Vec<PolicyKey> = queue
+                    .iter()
+                    .map(|r| policy.cc_key(r).expect("built-in policies are keyed"))
+                    .collect();
+                let min = (0..queue.len()).min_by_key(|&i| keys[i]);
+                assert_eq!(
+                    min,
+                    Some(policy.choose(&queue)),
+                    "round {round}, {}: {queue:?}",
+                    kind.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cc_keys_end_in_the_id_and_order_floats_numerically() {
+        let a = queued(3, 0.0, 10, 100, 100);
+        let b = QueuedRequest { id: 9, ..a };
+        let negative_zero = QueuedRequest {
+            arrival_s: -0.0,
+            ..b
+        };
+        for kind in PolicyKind::ALL {
+            let key = |r: &QueuedRequest| kind.policy().cc_key(r);
+            assert!(key(&a) < key(&b), "{}", kind.name());
+            // -0.0 ties +0.0, as under `<`, so the id decides.
+            assert!(key(&a) < key(&negative_zero), "{}", kind.name());
+            assert_eq!(key(&negative_zero), key(&b), "{}", kind.name());
+        }
+        let ranks: Vec<u64> = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            1e-300,
+            2.0,
+            f64::INFINITY,
+        ]
+        .into_iter()
+        .map(PolicyKey::float)
+        .collect();
+        assert!(ranks.windows(2).all(|w| w[0] <= w[1]), "{ranks:?}");
+        assert_eq!(ranks[2], ranks[3]);
+        assert!(ranks[5] < ranks[6]);
     }
 
     #[test]

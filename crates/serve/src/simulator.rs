@@ -76,7 +76,7 @@ use crate::slo::AdmissionControl;
 
 mod engine;
 
-pub use engine::{ServeEngine, ServeScratch};
+pub use engine::{ServeCounters, ServeEngine, ServeScratch};
 
 /// Static configuration of a serving run.
 ///
@@ -1531,7 +1531,7 @@ impl<'a> ServeSimulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{EarliestDeadlineFirst, Fcfs, PolicyKind, ShortestPromptFirst};
+    use crate::policy::{EarliestDeadlineFirst, Fcfs, PolicyKind, ShortestPromptFirst, Unkeyed};
     use crate::slo::SloClass;
     use crate::trace::TraceConfig;
     use edgemm_mllm::zoo;
@@ -2397,31 +2397,40 @@ mod tests {
     fn heap_engine_matches_the_reference_engine() {
         // The in-crate differential check: the heap-scheduled `run` and the
         // reference advance-and-scan `run_reference` must produce
-        // byte-identical reports across every configuration family. The
-        // workspace-level `tests/properties.rs` widens this over
-        // proptest-randomized traces.
+        // byte-identical reports across every configuration family, under
+        // every built-in policy both keyed and behind `Unkeyed` (which
+        // makes the heap engine scan). The workspace-level
+        // `tests/properties.rs` widens this over proptest-randomized traces.
         let m = machine();
         let per_token = zoo::sphinx_tiny()
             .llm
             .kv_bytes_per_token(m.config().mc_weight_bytes);
         let kv = KvPool::with_budget(Bytes::new(900 * per_token));
+        let gated = ServeConfig::new()
+            .with_kv_pool(kv)
+            .with_chunk_tokens(64)
+            .with_block_tokens(16)
+            .with_prefix_sharing()
+            .with_eager_kv_accounting();
         let configs = [
             ServeConfig::with_batch_cap(4),
             ServeConfig::with_batch_cap(4)
                 .with_chunk_tokens(64)
                 .with_admission(AdmissionControl::Defer),
+            ServeConfig::with_batch_cap(4)
+                .with_chunk_tokens(64)
+                .with_admission(AdmissionControl::Reject),
             ServeConfig::new().with_kv_pool(kv).with_chunk_tokens(64),
             ServeConfig::new()
                 .with_kv_pool(kv)
                 .with_chunk_tokens(64)
                 .with_block_tokens(16),
-            ServeConfig::new()
-                .with_kv_pool(kv)
-                .with_chunk_tokens(64)
-                .with_block_tokens(16)
-                .with_prefix_sharing()
-                .with_eager_kv_accounting()
-                .with_spill_capacity(Bytes::new(64 << 20)),
+            gated.with_spill_capacity(Bytes::new(64 << 20)),
+            gated
+                .with_spill_capacity(Bytes::new(64 << 20))
+                .with_admission(AdmissionControl::Reject),
+            // No spill area: the forced pick's growth past the budget.
+            gated.with_admission(AdmissionControl::Defer),
         ];
         let traces = [
             TraceConfig::interactive(10, 40.0, 17).generate(),
@@ -2437,11 +2446,8 @@ mod tests {
         // nested loops hit first.
         let combos: Vec<(usize, usize, PolicyKind)> = (0..configs.len())
             .flat_map(|ci| {
-                (0..traces.len()).flat_map(move |ti| {
-                    [PolicyKind::Fcfs, PolicyKind::EarliestDeadlineFirst]
-                        .into_iter()
-                        .map(move |kind| (ci, ti, kind))
-                })
+                (0..traces.len())
+                    .flat_map(move |ti| PolicyKind::ALL.into_iter().map(move |kind| (ci, ti, kind)))
             })
             .collect();
         edgemm_exec::Pool::from_env().par_map(&combos, |_, &(ci, ti, kind)| {
@@ -2450,7 +2456,55 @@ mod tests {
             let heap = sim.run(&traces[ti], kind.policy());
             let reference = sim.run_reference(&traces[ti], kind.policy());
             assert_eq!(heap, reference, "engines diverged: {config:?} {kind:?}");
+            let scanned = sim.run(&traces[ti], &Unkeyed(kind.policy()));
+            assert_eq!(
+                heap, scanned,
+                "keyed and scan diverged: {config:?} {kind:?}"
+            );
         });
+    }
+
+    #[test]
+    fn eager_accounting_without_a_spill_area_reaches_the_forced_pick() {
+        // Both branches of the CC dispatch run on this named config: gate
+        // refusals (eager accounting on a 600-token pool), and forced picks
+        // (queued prefills hold every block while nothing decodes, and
+        // there is no spill area to park them in). Keyed, scanned and
+        // reference runs agree, and so does the work they count.
+        let m = machine();
+        let per_token = zoo::sphinx_tiny()
+            .llm
+            .kv_bytes_per_token(m.config().mc_weight_bytes);
+        let config = ServeConfig::new()
+            .with_kv_pool(KvPool::with_budget(Bytes::new(600 * per_token)))
+            .with_chunk_tokens(64)
+            .with_block_tokens(16)
+            .with_prefix_sharing()
+            .with_eager_kv_accounting();
+        let sim = ServeSimulator::new(&m, zoo::sphinx_tiny(), config);
+        let trace = TraceConfig::multi_tenant(3, 24, 40.0, 5).generate();
+        let edf = PolicyKind::EarliestDeadlineFirst.policy();
+        let mut scratch = ServeScratch::new();
+        let keyed = sim.run_with_scratch(&trace, edf, &mut scratch);
+        let keyed_counters = scratch.counters();
+        assert!(keyed_counters.forced_picks > 0, "{keyed_counters:?}");
+        assert!(keyed_counters.gate_refusals > 0, "{keyed_counters:?}");
+        assert_eq!(keyed_counters.cc_candidates, keyed_counters.cc_picks);
+        let scanned = sim.run_with_scratch(&trace, &Unkeyed(edf), &mut scratch);
+        let scan_counters = scratch.counters();
+        assert_eq!(scanned, keyed);
+        assert_eq!(sim.run_reference(&trace, edf), keyed);
+        assert!(scan_counters.cc_candidates > scan_counters.cc_picks);
+        assert_eq!(
+            ServeCounters {
+                cc_candidates: 0,
+                ..scan_counters
+            },
+            ServeCounters {
+                cc_candidates: 0,
+                ..keyed_counters
+            }
+        );
     }
 
     /// Picks the most recently queued candidate: a policy whose choice

@@ -6,7 +6,7 @@ use edgemm_mem::{DmaEngine, KvPool, PagedKvPool};
 
 use super::{DecodeMemo, InFlight, ServeSimulator};
 use crate::metrics::{QueueSample, ServeReport};
-use crate::policy::{QueuedRequest, SchedulePolicy};
+use crate::policy::{PolicyKey, QueuedRequest, SchedulePolicy};
 use crate::request::ServeRequest;
 use crate::slo::AdmissionControl;
 
@@ -22,11 +22,278 @@ enum Event {
     StepDone,
 }
 
+/// Deterministic work counts of one serve run's CC dispatch. They are the
+/// same on every host, so tests can pin them where wall time can only
+/// inform. Read them with [`ServeScratch::counters`] after a run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServeCounters {
+    /// Times the CC stage was idle with a non-empty queue and looked for a
+    /// chunk to start.
+    pub cc_dispatches: u64,
+    /// Picks tried: one per candidate a dispatch offers the CC gate, the
+    /// forced pick included.
+    pub cc_picks: u64,
+    /// Candidates the picks looked at. On the scan path, the snapshot
+    /// entries offered to each policy call; on the keyed path, the keys
+    /// visited, one per pick.
+    pub cc_candidates: u64,
+    /// Picks the CC gate refused.
+    pub gate_refusals: u64,
+    /// Picks made by the forced second pass, which admits its pick past
+    /// the pool budget so a fully held pool cannot deadlock.
+    pub forced_picks: u64,
+}
+
+/// When a queued request's TTFT deadline is still in reach: while its
+/// remaining prefill can start at or before some cycle
+/// ([`InFlight::ttft_feasible_at`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slack {
+    /// At any cycle: no deadline, or the first token already exists.
+    Always,
+    /// At or before this latest start (deadline minus remaining prefill).
+    Until(Cycles),
+    /// At no cycle: the remaining prefill alone outlasts the deadline.
+    Never,
+}
+
+impl InFlight {
+    fn slack(&self) -> Slack {
+        match self.ttft_deadline_cycle {
+            Some(deadline) if !self.has_first_token => {
+                if deadline >= self.remaining_prefill_cycles {
+                    Slack::Until(deadline - self.remaining_prefill_cycles)
+                } else {
+                    Slack::Never
+                }
+            }
+            _ => Slack::Always,
+        }
+    }
+}
+
+/// The CC queue: the requests waiting for their next prefill chunk.
+///
+/// `order` is the queue in arrival-and-requeue order, with swap removal.
+/// That order is part of the report bytes: it is the order admission
+/// control rejects in and the order a forced pick spills the other
+/// prefills in, and the scan path offers it to unkeyed policies.
+///
+/// When the policy keys its picks ([`SchedulePolicy::cc_key`]), the same
+/// requests are also indexed in two sets sorted by descending key, so the
+/// policy's pick is last: `feasible` (under [`AdmissionControl::Serve`],
+/// every request) and `infeasible`, the requests whose TTFT deadline is
+/// out of reach. A feasible request with a deadline also sits in
+/// `latest_start`, sorted by descending latest start, and
+/// [`Self::expire`] moves it to `infeasible` once the clock passes that
+/// cycle. A queued request's key and slack never change (its state changes
+/// only at a gate that admits it), so both are recomputed from its state
+/// rather than stored, and the sets never need a re-index. The index holds
+/// request indices only.
+#[derive(Debug, Default)]
+struct CcQueue {
+    order: Vec<usize>,
+    /// Per pushed request (by state index), its position in `order`, or
+    /// [`NOT_QUEUED`].
+    pos: Vec<usize>,
+    /// Whether the run's policy keys its CC picks: decided by the first
+    /// request queued after a reset.
+    keyed: Option<bool>,
+    /// Whether admission control splits the queue on TTFT slack (any mode
+    /// but [`AdmissionControl::Serve`]).
+    split: bool,
+    feasible: Vec<usize>,
+    infeasible: Vec<usize>,
+    latest_start: Vec<usize>,
+}
+
+/// [`CcQueue::pos`] of a request that is not queued.
+const NOT_QUEUED: usize = usize::MAX;
+
+/// Where request `idx` sorts in a keyed set: by its key, then by index
+/// (which only ever breaks ties between duplicate ids).
+fn rank(states: &[InFlight], policy: &dyn SchedulePolicy, idx: usize) -> (PolicyKey, usize) {
+    let key = policy.cc_key(&states[idx].as_queued());
+    (key.unwrap_or_default(), idx)
+}
+
+/// Where request `idx` sorts in the latest-start index.
+fn start_rank(states: &[InFlight], idx: usize) -> (Cycles, usize) {
+    match states[idx].slack() {
+        Slack::Until(start) => (start, idx),
+        Slack::Always | Slack::Never => (Cycles::ZERO, idx),
+    }
+}
+
+/// Insert `idx` into `set`, sorted by descending `by`.
+fn insert_sorted<R: Ord>(set: &mut Vec<usize>, idx: usize, by: impl Fn(usize) -> R) {
+    let rank = by(idx);
+    let at = set.partition_point(|&other| by(other) > rank);
+    set.insert(at, idx);
+}
+
+/// Remove `idx` from `set`, sorted by descending `by`.
+fn remove_sorted<R: Ord>(set: &mut Vec<usize>, idx: usize, by: impl Fn(usize) -> R) {
+    let rank = by(idx);
+    let at = set.partition_point(|&other| by(other) > rank);
+    debug_assert_eq!(set.get(at), Some(&idx), "request {idx} is not in its set");
+    set.remove(at);
+}
+
+impl CcQueue {
+    /// Empty the queue for a run under `admission`.
+    fn reset(&mut self, admission: AdmissionControl) {
+        self.order.clear();
+        self.pos.clear();
+        self.keyed = None;
+        self.split = admission != AdmissionControl::Serve;
+        self.feasible.clear();
+        self.infeasible.clear();
+        self.latest_start.clear();
+    }
+
+    /// Room for the positions of `requests` pushed requests, so `pos`
+    /// does not grow by doubling (the other lists grow with the queue).
+    fn reserve(&mut self, requests: usize) {
+        self.pos.reserve(requests.saturating_sub(self.pos.len()));
+    }
+
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    /// The queued requests, in queue order.
+    fn order(&self) -> &[usize] {
+        &self.order
+    }
+
+    fn contains(&self, idx: usize) -> bool {
+        self.pos.get(idx).is_some_and(|&pos| pos != NOT_QUEUED)
+    }
+
+    /// Whether picks walk the keyed sets instead of scanning `order`.
+    fn keyed(&self) -> bool {
+        self.keyed == Some(true)
+    }
+
+    /// The feasible (or infeasible) keyed set, the policy's pick last.
+    fn set(&self, infeasible: bool) -> &[usize] {
+        if infeasible {
+            &self.infeasible
+        } else {
+            &self.feasible
+        }
+    }
+
+    /// The slack a request in `state` is indexed under: its own when
+    /// admission control splits the queue, [`Slack::Always`] otherwise.
+    fn slack(&self, state: &InFlight) -> Slack {
+        if self.split {
+            state.slack()
+        } else {
+            Slack::Always
+        }
+    }
+
+    /// Queue request `idx` at the back, and index it under `policy`'s key.
+    fn push(&mut self, idx: usize, states: &[InFlight], policy: &dyn SchedulePolicy) {
+        if self.pos.len() <= idx {
+            self.pos.resize(idx + 1, NOT_QUEUED);
+        }
+        debug_assert!(!self.contains(idx), "request {idx} queued twice");
+        self.pos[idx] = self.order.len();
+        self.order.push(idx);
+        if self.keyed == Some(false) {
+            return;
+        }
+        let keyed = policy.cc_key(&states[idx].as_queued()).is_some();
+        assert_eq!(
+            *self.keyed.get_or_insert(keyed),
+            keyed,
+            "policy {} keys some requests but not others",
+            policy.name()
+        );
+        if !keyed {
+            return;
+        }
+        let by_key = |other| rank(states, policy, other);
+        match self.slack(&states[idx]) {
+            Slack::Always => insert_sorted(&mut self.feasible, idx, by_key),
+            Slack::Until(_) => {
+                insert_sorted(&mut self.latest_start, idx, |other| {
+                    start_rank(states, other)
+                });
+                insert_sorted(&mut self.feasible, idx, by_key);
+            }
+            Slack::Never => insert_sorted(&mut self.infeasible, idx, by_key),
+        }
+    }
+
+    /// Take queued request `idx` out of `order` (a swap removal). A keyed
+    /// run takes it out of its set first.
+    fn remove(&mut self, idx: usize) {
+        let pos = std::mem::replace(&mut self.pos[idx], NOT_QUEUED);
+        self.order.swap_remove(pos);
+        if let Some(&moved) = self.order.get(pos) {
+            self.pos[moved] = pos;
+        }
+    }
+
+    /// Take a walk's admitted pick, at `at` in the feasible (or
+    /// infeasible) set, out of the index. Its gate may have skipped reused
+    /// chunks, so `slack` is the slack it was indexed under.
+    fn unindex_pick(&mut self, infeasible: bool, at: usize, slack: Slack, states: &[InFlight]) {
+        if infeasible {
+            self.infeasible.remove(at);
+            return;
+        }
+        let idx = self.feasible.remove(at);
+        if let Slack::Until(start) = slack {
+            remove_sorted(&mut self.latest_start, idx, |other| {
+                if other == idx {
+                    (start, idx)
+                } else {
+                    start_rank(states, other)
+                }
+            });
+        }
+    }
+
+    /// Take a hopeless request out of the infeasible set (where
+    /// [`Self::expire`] put every request a reject can drop).
+    fn unindex_hopeless(&mut self, idx: usize, states: &[InFlight], policy: &dyn SchedulePolicy) {
+        if self.keyed() {
+            remove_sorted(&mut self.infeasible, idx, |other| {
+                rank(states, policy, other)
+            });
+        }
+    }
+
+    /// Move every feasible request whose latest start is before `now` to
+    /// the infeasible set.
+    fn expire(&mut self, now: Cycles, states: &[InFlight], policy: &dyn SchedulePolicy) {
+        while let Some(&idx) = self.latest_start.last() {
+            if start_rank(states, idx).0 >= now {
+                break;
+            }
+            self.latest_start.pop();
+            let by_key = |other| rank(states, policy, other);
+            remove_sorted(&mut self.feasible, idx, by_key);
+            insert_sorted(&mut self.infeasible, idx, by_key);
+        }
+    }
+}
+
 /// The state of one serve run, and the allocations it reuses across runs.
 ///
 /// [`ServeSimulator::engine`] resets it and hands out a [`ServeEngine`]
-/// over it. The reset keeps each collection's capacity, never its content,
-/// so a reused scratch runs byte-identically to a fresh one, minus the
+/// over it. The reset keeps each collection's capacity (but the CC
+/// queue's, which a finished run gives back), never its content, so a
+/// reused scratch runs byte-identically to a fresh one, minus the
 /// allocations.
 #[derive(Debug, Default)]
 pub struct ServeScratch {
@@ -38,7 +305,9 @@ pub struct ServeScratch {
     /// the two cost ~2 MiB more peak RSS at the benchmark's light load).
     scheduled: usize,
     events: EventQueue<Event>,
-    cc_queue: Vec<usize>,
+    cc_queue: CcQueue,
+    /// The arrivals popped in one cycle, sorted by id before they queue.
+    arrivals: Vec<usize>,
     ready: Vec<usize>,
     batch: Vec<usize>,
     /// The request whose chunk the CC stage runs (its `ChunkDone` is in
@@ -64,6 +333,7 @@ pub struct ServeScratch {
     decode_steps: u64,
     preemptions: u64,
     restarted_prefill_tokens: Tokens,
+    counters: ServeCounters,
 }
 
 impl ServeScratch {
@@ -72,12 +342,20 @@ impl ServeScratch {
         Self::default()
     }
 
+    /// The work counters of the run this scratch last held (a replaying
+    /// engine counts the replay only, so a run counts the same however its
+    /// requests were pushed).
+    pub fn counters(&self) -> ServeCounters {
+        self.counters
+    }
+
     /// Clear every piece of run state for a fresh run of `simulator`.
     fn reset(&mut self, simulator: &ServeSimulator<'_>) {
         self.states.clear();
         self.scheduled = 0;
         self.events.clear();
-        self.cc_queue.clear();
+        self.cc_queue.reset(simulator.config.admission);
+        self.arrivals.clear();
         self.ready.clear();
         self.batch.clear();
         self.cc_busy = None;
@@ -95,6 +373,7 @@ impl ServeScratch {
         self.decode_steps = 0;
         self.preemptions = 0;
         self.restarted_prefill_tokens = Tokens::ZERO;
+        self.counters = ServeCounters::default();
     }
 }
 
@@ -167,6 +446,7 @@ impl<'a> ServeSimulator<'a> {
     ) -> ServeReport {
         let mut engine = self.engine(policy, scratch);
         engine.scratch.states.reserve(requests.len());
+        engine.scratch.cc_queue.reserve(requests.len());
         for request in requests {
             engine.push(request);
         }
@@ -243,6 +523,12 @@ impl ServeEngine<'_, '_> {
             self.process(now);
         }
         let s = &mut *self.scratch;
+        // The drained queue gives its memory back rather than keep it for
+        // the next run: a finished scratch can sit idle while other serves
+        // allocate (a session between traces, or one being replaced), and
+        // `run_with_scratch` sizes the queue afresh.
+        debug_assert!(s.cc_queue.is_empty());
+        s.cc_queue = CcQueue::default();
         let mut ids: Vec<u64> = s.states.iter().map(|state| state.request.id).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -277,19 +563,22 @@ impl ServeEngine<'_, '_> {
         let s = &mut *self.scratch;
         debug_assert!(s.last_event.map_or(true, |last| last < now));
         s.last_event = Some(now);
-        let arrived = s.cc_queue.len();
         let mut chunk_done = None;
         let mut step_done = false;
         while let Some((_, event)) = s.events.pop_due(now) {
             match event {
-                Event::Arrival(idx) => s.cc_queue.push(idx),
+                Event::Arrival(idx) => s.arrivals.push(idx),
                 Event::ChunkDone(idx) => chunk_done = Some(idx),
                 Event::StepDone => step_done = true,
             }
         }
         // Same-cycle arrivals join in id order, whatever their push order.
         let states = &s.states;
-        s.cc_queue[arrived..].sort_by_key(|&idx| states[idx].request.id);
+        s.arrivals.sort_by_key(|&idx| states[idx].request.id);
+        for &idx in &s.arrivals {
+            s.cc_queue.push(idx, &s.states, self.policy);
+        }
+        s.arrivals.clear();
         if let Some(idx) = chunk_done {
             debug_assert_eq!(s.cc_busy, Some(idx));
             s.cc_busy = None;
@@ -309,7 +598,7 @@ impl ServeEngine<'_, '_> {
                 // Back to the queue: the policy decides at the chunk
                 // boundary whether this prefill continues or an urgent
                 // arrival preempts it.
-                s.cc_queue.push(idx);
+                s.cc_queue.push(idx, &s.states, self.policy);
                 s.cc_resumable = Some(idx);
             }
         }
@@ -345,25 +634,44 @@ impl ServeEngine<'_, '_> {
         });
     }
 
-    /// Dispatch the serial CC stage: one prefill chunk at a time, chosen by
-    /// the policy from a snapshot of the queue. Admission control first
-    /// splits the queue on TTFT slack (for requests mid-prefill, the slack
-    /// of their *remaining* chunks).
+    /// Dispatch the serial CC stage: one prefill chunk at a time, in the
+    /// policy's order. Admission control first splits the queue on TTFT
+    /// slack (for requests mid-prefill, the slack of their *remaining*
+    /// chunks).
+    ///
+    /// A pick the CC gate refuses is skipped and the next one in the
+    /// policy's order is tried (the refused one retries once memory
+    /// drains). Unkeyed policies re-pick from a snapshot of the rest after
+    /// every refusal. Keyed ones walk their ordered set: the minimum of the
+    /// remaining keys is the next key in order, so the walk gates exactly
+    /// the scan's picks, in the same order, and visits only those.
     fn dispatch_prefill(&mut self, now: Cycles) {
         let config = self.simulator.config;
-        if self.scratch.cc_busy.is_some() || self.scratch.cc_queue.is_empty() {
+        let s = &mut *self.scratch;
+        if s.cc_busy.is_some() || s.cc_queue.is_empty() {
             return;
         }
-        if config.admission == AdmissionControl::Reject {
+        s.counters.cc_dispatches += 1;
+        let keyed = s.cc_queue.keyed();
+        if keyed {
+            s.cc_queue.expire(now, &s.states, self.policy);
+        }
+        let any_hopeless = !keyed || !s.cc_queue.set(true).is_empty();
+        if config.admission == AdmissionControl::Reject && any_hopeless {
             self.reject_hopeless(now);
         }
-        // Positions into `cc_queue` the policy may choose from: everything,
-        // or (under deferral) the feasible subset when one exists.
+        // The candidates: everything, or (under deferral) the feasible
+        // subset when one exists. Keyed, a set; unkeyed, a list in queue
+        // order.
         let s = &*self.scratch;
-        let feasible = |&pos: &usize| s.states[s.cc_queue[pos]].ttft_feasible_at(now);
-        let mut positions: Vec<usize> = (0..s.cc_queue.len()).collect();
-        if config.admission == AdmissionControl::Defer && positions.iter().any(feasible) {
-            positions.retain(feasible);
+        let from_infeasible = keyed && s.cc_queue.set(false).is_empty();
+        let mut candidates = Vec::new();
+        if !keyed {
+            let feasible = |&idx: &usize| s.states[idx].ttft_feasible_at(now);
+            candidates.extend_from_slice(s.cc_queue.order());
+            if config.admission == AdmissionControl::Defer && candidates.iter().any(feasible) {
+                candidates.retain(feasible);
+            }
         }
         // Two passes under CC-side KV gating: every candidate is first
         // tried within the budget; if all are refused while nothing is
@@ -373,10 +681,15 @@ impl ServeEngine<'_, '_> {
         for force in [false, true] {
             let s = &*self.scratch;
             let idle = s.batch.is_empty() && s.ready.is_empty();
-            if positions.is_empty() || (force && !(config.cc_gated() && idle)) {
+            if s.cc_queue.is_empty() || (force && !(config.cc_gated() && idle)) {
                 break;
             }
-            if self.dispatch_chunk(&positions, force, now) {
+            let started = if keyed {
+                self.walk_keyed(from_infeasible, force, now)
+            } else {
+                self.scan(&candidates, force, now)
+            };
+            if started {
                 break;
             }
         }
@@ -387,12 +700,13 @@ impl ServeEngine<'_, '_> {
         let s = &mut *self.scratch;
         let mut i = 0;
         while i < s.cc_queue.len() {
-            let idx = s.cc_queue[i];
+            let idx = s.cc_queue.order()[i];
             if s.states[idx].ttft_feasible_at(now) {
                 i += 1;
                 continue;
             }
-            s.cc_queue.swap_remove(i);
+            s.cc_queue.unindex_hopeless(idx, &s.states, self.policy);
+            s.cc_queue.remove(idx);
             // Blocks the reject already holds (an attached prefix,
             // eager-accounted chunks) go back to the pool; a no-op for empty
             // tables. A spilled image is read back and dropped so the spill
@@ -407,19 +721,22 @@ impl ServeEngine<'_, '_> {
             }
             s.rejected_order.push((idx, now));
         }
+        debug_assert!(s.cc_queue.set(true).is_empty());
     }
 
-    /// One pass of policy picks over the queue `positions`: a pick the CC
-    /// gate refuses is skipped and the policy re-picks among the rest (it
-    /// retries once memory drains). Returns whether a chunk started.
-    fn dispatch_chunk(&mut self, positions: &[usize], force: bool, now: Cycles) -> bool {
-        let mut candidates = positions.to_vec();
+    /// One pass of policy picks over the queued `candidates`, re-picking
+    /// from a snapshot of the rest after each refusal. Returns whether a
+    /// chunk started.
+    fn scan(&mut self, candidates: &[usize], force: bool, now: Cycles) -> bool {
         let s = &*self.scratch;
+        let mut candidates = candidates.to_vec();
         let mut snapshot: Vec<QueuedRequest> = candidates
             .iter()
-            .map(|&pos| s.states[s.cc_queue[pos]].as_queued())
+            .map(|&idx| s.states[idx].as_queued())
             .collect();
         while !candidates.is_empty() {
+            // lint:allow(unit-cast): a dimensionless count
+            self.scratch.counters.cc_candidates += snapshot.len() as u64;
             let pick = self.policy.choose(&snapshot);
             assert!(
                 pick < candidates.len(),
@@ -427,40 +744,94 @@ impl ServeEngine<'_, '_> {
                 self.policy.name(),
                 candidates.len()
             );
-            let idx = self.scratch.cc_queue[candidates[pick]];
-            if self.simulator.config.cc_gated() && !self.gate_chunk(idx, force) {
-                candidates.swap_remove(pick);
-                snapshot.swap_remove(pick);
-                continue;
+            let idx = candidates[pick];
+            if self.try_pick(idx, force) {
+                self.start_chunk(idx, now);
+                return true;
             }
-            let s = &mut *self.scratch;
-            s.cc_queue.swap_remove(candidates[pick]);
-            // A preemption is a pick that displaces the request whose chunk
-            // just ran: it wanted to continue (it is still queued
-            // mid-prefill) and something else took the stage at its chunk
-            // boundary. Continuing an earlier victim while the queue holds
-            // other mid-prefill requests is not a *new* preemption.
-            if s.cc_resumable
-                .is_some_and(|prev| idx != prev && s.cc_queue.contains(&prev))
-            {
-                s.preemptions += 1;
-            }
-            s.cc_resumable = None;
-            let state = &mut s.states[idx];
-            if state.chunks_done == 0 {
-                state.prefill_start = now;
-            }
-            // A freshly attached prefix owes its copy-on-write bytes: the
-            // DMA transfer extends this chunk.
-            let copied = std::mem::replace(&mut state.pending_copy_bytes, Bytes::ZERO);
-            let copy_cycles = ServeSimulator::dma_transfer_cycles(&mut s.dma, copied, now);
-            let chunk = state.chunk_cycles[state.chunks_done];
-            s.events
-                .push(now + chunk + copy_cycles, Event::ChunkDone(idx));
-            s.cc_busy = Some(idx);
-            return true;
+            candidates.swap_remove(pick);
+            snapshot.swap_remove(pick);
         }
         false
+    }
+
+    /// One pass over the feasible (or infeasible) keyed set in key order.
+    /// Returns whether a chunk started.
+    fn walk_keyed(&mut self, infeasible: bool, force: bool, now: Cycles) -> bool {
+        let mut at = self.scratch.cc_queue.set(infeasible).len();
+        while at > 0 {
+            at -= 1;
+            let s = &mut *self.scratch;
+            let idx = s.cc_queue.set(infeasible)[at];
+            s.counters.cc_candidates += 1;
+            let slack = s.cc_queue.slack(&s.states[idx]);
+            if self.try_pick(idx, force) {
+                let s = &mut *self.scratch;
+                s.cc_queue.unindex_pick(infeasible, at, slack, &s.states);
+                self.start_chunk(idx, now);
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Offer pick `idx` to the CC gate (ungated configurations admit every
+    /// pick), counting it. Returns whether the gate admitted it.
+    fn try_pick(&mut self, idx: usize, force: bool) -> bool {
+        let counters = &mut self.scratch.counters;
+        counters.cc_picks += 1;
+        counters.forced_picks += u64::from(force);
+        if !self.simulator.config.cc_gated() {
+            return true;
+        }
+        let state = &self.scratch.states[idx];
+        let before = (state.prefill_cycles, state.remaining_prefill_cycles);
+        if self.gate_chunk(idx, force) {
+            return true;
+        }
+        // A refused gate leaves the pick's key and slack alone, which keyed
+        // walks rely on: a prefix hit that collapses chunks covers the
+        // first chunk, so its gate admits, and a forced gate always admits.
+        let state = &self.scratch.states[idx];
+        debug_assert!(!force, "a forced gate refused its pick");
+        debug_assert_eq!(
+            (state.prefill_cycles, state.remaining_prefill_cycles),
+            before,
+            "a refused gate changed the prefill of request {}",
+            state.request.id
+        );
+        self.scratch.counters.gate_refusals += 1;
+        false
+    }
+
+    /// Start the next chunk of queued request `idx`, which the gate
+    /// admitted (and a keyed walk took out of its set).
+    fn start_chunk(&mut self, idx: usize, now: Cycles) {
+        let s = &mut *self.scratch;
+        s.cc_queue.remove(idx);
+        // A preemption is a pick that displaces the request whose chunk
+        // just ran: it wanted to continue (it is still queued mid-prefill)
+        // and something else took the stage at its chunk boundary.
+        // Continuing an earlier victim while the queue holds other
+        // mid-prefill requests is not a *new* preemption.
+        if s.cc_resumable
+            .is_some_and(|prev| idx != prev && s.cc_queue.contains(prev))
+        {
+            s.preemptions += 1;
+        }
+        s.cc_resumable = None;
+        let state = &mut s.states[idx];
+        if state.chunks_done == 0 {
+            state.prefill_start = now;
+        }
+        // A freshly attached prefix owes its copy-on-write bytes: the DMA
+        // transfer extends this chunk.
+        let copied = std::mem::replace(&mut state.pending_copy_bytes, Bytes::ZERO);
+        let copy_cycles = ServeSimulator::dma_transfer_cycles(&mut s.dma, copied, now);
+        let chunk = state.chunk_cycles[state.chunks_done];
+        s.events
+            .push(now + chunk + copy_cycles, Event::ChunkDone(idx));
+        s.cc_busy = Some(idx);
     }
 
     /// The CC gate for `idx`'s next chunk (`ServeSimulator::cc_chunk_gate`;
@@ -473,7 +844,7 @@ impl ServeEngine<'_, '_> {
             return true;
         };
         if force {
-            for &other in &s.cc_queue {
+            for &other in s.cc_queue.order() {
                 let parked = s.states[other].spill.is_some();
                 if other == idx || parked || s.states[other].table.is_empty() {
                     continue;
@@ -730,7 +1101,7 @@ impl ServeEngine<'_, '_> {
         pool.evict(&mut state.table);
         s.restarted_prefill_tokens += Tokens::new(state.context_tokens());
         self.simulator.requeue_for_reprefill(state);
-        s.cc_queue.push(victim);
+        s.cc_queue.push(victim, &s.states, self.policy);
         false
     }
 }

@@ -11,11 +11,13 @@
 
 use edgemm::figures::{fig11_hetero, fig12_pruning, table1_models, table2_gpu_comparison};
 use edgemm::serve::{
-    merge, AdmissionControl, PolicyKind, Priority, ServeReport, ServeRequest, TraceConfig,
+    merge, AdmissionControl, PolicyKind, Priority, ServeCounters, ServeReport, ServeRequest,
+    ServeScratch, TraceConfig,
 };
 use edgemm::units::{Bytes, Tokens};
 use edgemm::{EdgeMm, FleetReport, RequestOptions, RoutingKind, ServeOptions};
 use edgemm_mllm::{zoo, ModelWorkload};
+use edgemm_serve::Unkeyed;
 
 fn probing() -> bool {
     std::env::var("EDGEMM_GOLDEN_PROBE").is_ok()
@@ -960,5 +962,85 @@ fn golden_serve_report_digests() {
                 "serve_digest.{label} drifted to {digest:#018x}"
             );
         }
+    }
+}
+
+/// CC-dispatch work at the benchmark's overload point `T(N, 48/s, 23)` on
+/// its serve stack (EDF + Defer, 8 MiB paged/16, shared prefixes, 128 MiB
+/// spill), pinned exactly: counts are the same on every host. Each point
+/// runs from a fresh session twice, keyed and through [`Unkeyed`], which
+/// hides EDF's key so the engine scans. Both runs must serve the same
+/// report with the same dispatches, picks, refusals and forced picks; the
+/// keyed run visits one key per pick (its refusals plus the chunk it
+/// starts), while the scan offers the policy the whole rest of the queue
+/// after every refusal.
+#[test]
+fn golden_cc_dispatch_counters() {
+    let system = EdgeMm::paper_default();
+    let model = zoo::sphinx_tiny();
+    let options = ServeOptions::memory_aware(Bytes::new(8 << 20), 64)
+        .paged(16)
+        .shared_prefixes(Bytes::new(128 << 20));
+    let bench_trace = |requests: usize| {
+        merge(&[
+            TraceConfig::multi_tenant(6, requests, 48.0, 23).generate(),
+            TraceConfig {
+                text_tokens: (512, 768),
+                ..TraceConfig::background(requests / 12, 12.0, 123)
+            }
+            .generate(),
+        ])
+    };
+    // (N, dispatches, picks, refusals, forced picks, scan candidates)
+    let points: [(usize, u64, u64, u64, u64, u64); 3] = [
+        (400, 3_759, 3_759, 0, 0, 585_083),
+        (800, 8_223, 32_960, 25_408, 0, 7_694_042),
+        (1600, 18_387, 169_598, 154_471, 0, 14_237_421),
+    ];
+    for (requests, dispatches, picks, refusals, forced, scanned) in points {
+        let trace = bench_trace(requests);
+        let mut session = system.serve_session(&model, options);
+        let report = session.serve(&trace);
+        let keyed = session.counters();
+        let mut scratch = ServeScratch::new();
+        let edf = Unkeyed(PolicyKind::EarliestDeadlineFirst.policy());
+        let scan_report = session
+            .simulator()
+            .run_with_scratch(&trace, &edf, &mut scratch);
+        let scan = scratch.counters();
+        if probing() {
+            println!("cc_counters.T({requests}) keyed {keyed:?}\n  scan {scan:?}");
+            continue;
+        }
+        assert_eq!(
+            scan_report, report,
+            "T({requests}): scan and keyed reports differ"
+        );
+        let work = |c: ServeCounters| ServeCounters {
+            cc_candidates: 0,
+            ..c
+        };
+        assert_eq!(
+            work(scan),
+            work(keyed),
+            "T({requests}): scan and keyed work differ"
+        );
+        assert_eq!(
+            keyed,
+            ServeCounters {
+                cc_dispatches: dispatches,
+                cc_picks: picks,
+                // One key per pick: its refusals, plus the chunk starts
+                // (`picks - refusals`).
+                cc_candidates: picks,
+                gate_refusals: refusals,
+                forced_picks: forced,
+            },
+            "T({requests}): keyed counters drifted"
+        );
+        assert_eq!(
+            scan.cc_candidates, scanned,
+            "T({requests}): scan candidates drifted"
+        );
     }
 }

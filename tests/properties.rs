@@ -12,6 +12,7 @@ use edgemm::{EdgeMm, RequestOptions, RoutingKind, ServeOptions};
 use edgemm_mllm::{
     zoo, LlmConfig, MllmConfig, ModelWorkload, ProjectorConfig, ProjectorKind, VisionEncoderConfig,
 };
+use edgemm_serve::Unkeyed;
 use proptest::prelude::*;
 
 /// A deliberately small MLLM for the serving properties: the default
@@ -660,17 +661,24 @@ proptest! {
     /// The heap-scheduled event engine is the reference engine, byte for
     /// byte: across every serving preset family (plain batching, SLO-aware
     /// deferral, chunked memory-aware admission, paged KV with eviction,
-    /// the full shared-prefix/spill stack) and every trace shape (uniform
-    /// interactive, interactive+background merge, multi-tenant), `run` and
-    /// the retired advance-and-scan `run_reference` produce equal
+    /// the full shared-prefix/spill stack, and eager accounting with no
+    /// spill area — the family that reaches the forced pick), every trace
+    /// shape (uniform interactive, interactive+background merge,
+    /// multi-tenant) and every built-in policy, `run` and the retired
+    /// advance-and-scan `run_reference` produce equal
     /// [`edgemm::serve::ServeReport`]s — every timeline, sample and counter.
-    /// This is the workspace-level widening of the serve crate's in-crate
-    /// differential test over proptest-randomized traces and budgets.
+    /// The gated families also draw their admission mode, and each run is
+    /// repeated behind [`Unkeyed`], which hides the policy's key so the
+    /// engine scans: the keyed walk must match the scan too. This is the
+    /// workspace-level widening of the serve crate's in-crate differential
+    /// test over proptest-randomized traces and budgets.
     #[test]
     fn heap_engine_is_byte_identical_to_the_reference_engine(
-        preset_sel in 0usize..5,
+        preset_sel in 0usize..6,
         trace_sel in 0usize..3,
-        requests in 1usize..8,
+        policy_sel in 0usize..4,
+        admission_sel in 0usize..3,
+        requests in 1usize..25,
         rate in 1.0f64..500.0,
         capacity_tokens in 128u64..1024,
         block in 1usize..33,
@@ -678,6 +686,7 @@ proptest! {
     ) {
         let machine = Machine::new(SimConfig::paper_default());
         let model = tiny_model();
+        // Up to 48 requests: the two-trace merge doubles `requests`.
         let trace = match trace_sel {
             0 => TraceConfig::interactive(requests, rate, seed).generate(),
             1 => edgemm::serve::merge(&[
@@ -696,38 +705,38 @@ proptest! {
                 .with_onchip(Bytes::new(64 * per_token))
                 .with_spill_penalty(1.25)
         };
-        let (config, policy) = match preset_sel {
-            0 => (ServeConfig::with_batch_cap(4), PolicyKind::Fcfs),
-            1 => (
-                ServeConfig::with_batch_cap(4).with_admission(AdmissionControl::Defer),
-                PolicyKind::EarliestDeadlineFirst,
-            ),
-            2 => (
-                ServeConfig::new().with_kv_pool(pool()).with_chunk_tokens(16),
-                PolicyKind::EarliestDeadlineFirst,
-            ),
-            3 => (
-                ServeConfig::new()
-                    .with_kv_pool(pool())
-                    .with_chunk_tokens(16)
-                    .with_block_tokens(block),
-                PolicyKind::EarliestDeadlineFirst,
-            ),
-            _ => (
-                ServeConfig::new()
-                    .with_kv_pool(pool())
-                    .with_chunk_tokens(16)
-                    .with_block_tokens(block)
-                    .with_prefix_sharing()
-                    .with_eager_kv_accounting()
-                    .with_spill_capacity(Bytes::new(16 << 20)),
-                PolicyKind::EarliestDeadlineFirst,
-            ),
+        let admission = [
+            AdmissionControl::Serve,
+            AdmissionControl::Defer,
+            AdmissionControl::Reject,
+        ][admission_sel];
+        let gated = || {
+            ServeConfig::new()
+                .with_kv_pool(pool())
+                .with_chunk_tokens(16)
+                .with_block_tokens(block)
+                .with_prefix_sharing()
+                .with_eager_kv_accounting()
+                .with_admission(admission)
         };
+        let config = match preset_sel {
+            0 => ServeConfig::with_batch_cap(4),
+            1 => ServeConfig::with_batch_cap(4).with_admission(AdmissionControl::Defer),
+            2 => ServeConfig::new().with_kv_pool(pool()).with_chunk_tokens(16),
+            3 => ServeConfig::new()
+                .with_kv_pool(pool())
+                .with_chunk_tokens(16)
+                .with_block_tokens(block),
+            4 => gated().with_spill_capacity(Bytes::new(16 << 20)),
+            _ => gated(),
+        };
+        let policy = PolicyKind::ALL[policy_sel].policy();
         let sim = ServeSimulator::new(&machine, model, config);
-        let heap = sim.run(&trace, policy.policy());
-        let reference = sim.run_reference(&trace, policy.policy());
-        prop_assert_eq!(heap, reference);
+        let heap = sim.run(&trace, policy);
+        let reference = sim.run_reference(&trace, policy);
+        prop_assert_eq!(&heap, &reference);
+        let scanned = sim.run(&trace, &Unkeyed(policy));
+        prop_assert_eq!(&heap, &scanned);
     }
 
     /// With sharing, spill and eager accounting all disabled, the paged
