@@ -9,6 +9,11 @@
 //! the push sequence — the property the differential harness in
 //! `tests/properties.rs` pins against the reference engine.
 //!
+//! The serve engine keeps only its pending arrivals here. Its at most one
+//! chunk completion and one step completion live in two slots beside the
+//! queue, so the heap holds no more than the trace's arrivals and a
+//! completion never pays a push or a pop.
+//!
 //! The queue deliberately knows nothing about what an event *is*: `E` needs
 //! no `Ord`, no `Hash`, nothing. Ordering lives entirely in the
 //! `(cycle, seq)` key, which keeps the heap's behaviour independent of the
@@ -59,8 +64,8 @@ impl<E> Ord for Entry<E> {
 ///
 /// Events pushed for the same cycle pop in push order (FIFO within a
 /// cycle); events for different cycles pop earliest-first. There is no
-/// cancellation — the serve engine schedules at most one outstanding
-/// completion per state machine, so it never needs to retract an event.
+/// cancellation: the serve engine pushes only arrivals, which are never
+/// retracted.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
@@ -92,6 +97,11 @@ impl<E> EventQueue<E> {
         };
         self.seq += 1;
         self.heap.push(entry);
+    }
+
+    /// Room for at least `additional` more events without reallocating.
+    pub fn reserve(&mut self, additional: usize) {
+        self.heap.reserve(additional);
     }
 
     /// The cycle of the next event, if any.

@@ -174,9 +174,18 @@ impl DmaEngine {
         }
     }
 
+    /// Advance the throttling interval to the one that holds `cycle`,
+    /// resetting the PMC if it moved. One division, however far `cycle`
+    /// lies ahead: an idle gap of any length costs the same as none.
+    /// `interval_start ≤ cycle` always holds (every roll is to a cycle at
+    /// or after the engine's clock, which never runs behind the interval
+    /// start), and the test subtracts rather than adds, so neither side
+    /// can overflow.
     fn roll_interval(&mut self, cycle: Cycles) {
-        while cycle >= self.interval_start + self.interval_cycles {
-            self.interval_start += self.interval_cycles;
+        let elapsed = cycle - self.interval_start;
+        if elapsed >= self.interval_cycles {
+            let whole = elapsed.get() / self.interval_cycles.get();
+            self.interval_start += self.interval_cycles * whole;
             self.pmc_bytes = Bytes::ZERO;
         }
     }
@@ -185,6 +194,7 @@ impl DmaEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn engine() -> DmaEngine {
         DmaEngine::new(DramModel::paper_default(), Bytes::new(64 * 1024), 1.0)
@@ -242,6 +252,28 @@ mod tests {
     }
 
     #[test]
+    fn a_far_future_issue_jumps_the_window_in_one_step() {
+        // 10^15 cycles is 10^11 intervals of T: walking them one at a time
+        // would not finish.
+        let interval = Cycles::new(10_000);
+        let mut dma = engine();
+        dma.set_budget(Bytes::new(100 * 1024), interval);
+        let first = dma.submit(request(1024, TrafficClass::KvCache), Cycles::ZERO);
+        let issue = first.end_cycle + Cycles::new(1_000_000_000_000_000);
+        let a = dma.submit(request(128 * 1024, TrafficClass::KvCache), issue);
+        assert_eq!(a.stall_cycles, 0, "the PMC reset across the gap");
+        assert_eq!(a.start_cycle, issue);
+        // The follow-up is over budget in the same interval: it stalls to
+        // exactly the next multiple of T.
+        let b = dma.submit(request(4 * 1024, TrafficClass::KvCache), a.end_cycle);
+        let next = Cycles::new((issue.get() / interval.get() + 1) * interval.get());
+        assert!(a.end_cycle < next);
+        assert_eq!(b.start_cycle, next);
+        assert_eq!(b.stall_cycles, next - a.end_cycle);
+        assert_eq!(dma.total_stall_cycles(), b.stall_cycles);
+    }
+
+    #[test]
     fn clearing_budget_removes_stalls() {
         let mut dma = engine();
         dma.set_budget(Bytes::new(1), Cycles::new(1_000_000));
@@ -272,6 +304,105 @@ mod tests {
             slow_after.end_cycle - slow_after.start_cycle
                 > slow_before.end_cycle - slow_before.start_cycle
         );
+    }
+
+    /// [`DmaEngine::submit`] with the interval walked one `T` per
+    /// iteration: the definition the one-division roll must match.
+    fn stepwise_submit(dma: &mut DmaEngine, request: DmaRequest, issue: Cycles) -> DmaTranscript {
+        fn walk(dma: &mut DmaEngine, cycle: Cycles) {
+            while cycle >= dma.interval_start + dma.interval_cycles {
+                dma.interval_start += dma.interval_cycles;
+                dma.pmc_bytes = Bytes::ZERO;
+            }
+        }
+        let mut start = issue.max(dma.now);
+        walk(dma, start);
+        let mut stall = Cycles::ZERO;
+        if dma
+            .budget_per_interval
+            .is_some_and(|budget| dma.pmc_bytes >= budget)
+        {
+            let next = dma.interval_start + dma.interval_cycles;
+            stall = next - start;
+            start = next;
+            walk(dma, start);
+        }
+        let cycles =
+            dma.dram
+                .transfer_cycles(request.bytes, dma.max_block_bytes, dma.bandwidth_share);
+        let end = start + cycles;
+        dma.pmc_bytes += request.bytes;
+        dma.now = end;
+        dma.stats.record(request.class, request.bytes);
+        dma.total_stall_cycles += stall;
+        DmaTranscript {
+            request,
+            start_cycle: start,
+            end_cycle: end,
+            stall_cycles: stall,
+        }
+    }
+
+    proptest! {
+        /// Random scripts of submits, budget changes and share changes run
+        /// the same on the one-division roll as on the stepwise walk:
+        /// every transcript, the traffic stats, the stall total and the
+        /// whole engine state agree. A gap is a number of whole intervals
+        /// (up to 2^16 of up to ~5·10^8 cycles, so up to ~3·10^13 cycles)
+        /// plus an offset, counted from the previous issue, so an issue
+        /// can also land while the engine is still busy.
+        #[test]
+        fn interval_jump_matches_the_stepwise_walk(
+            seed: u64,
+            steps in 1usize..48,
+            budgeted: bool,
+        ) {
+            let mut rng = TestRng::for_case(seed);
+            let mut draw = |bound: u64| rng.next_u64() % bound;
+            let mut fast = engine();
+            let mut slow = engine();
+            let mut interval = Cycles::new(10_000);
+            let mut issue = Cycles::ZERO;
+            for step in 0..steps {
+                let kind = if step == 0 && budgeted { 2 } else { draw(8) };
+                match kind {
+                    0 => {
+                        fast.clear_budget();
+                        slow.clear_budget();
+                    }
+                    1 => {
+                        let share = (1 + draw(16)) as f64 / 16.0;
+                        fast.set_bandwidth_share(share);
+                        slow.set_bandwidth_share(share);
+                    }
+                    2 => {
+                        let budget = Bytes::new(draw((128 << 10) + 1));
+                        let octave = draw(29);
+                        interval = Cycles::new((1 << octave) + draw(1 << octave));
+                        fast.set_budget(budget, interval);
+                        slow.set_budget(budget, interval);
+                    }
+                    _ => {
+                        let intervals = match draw(4) {
+                            0 => 0,
+                            1 => 1,
+                            2 => draw(8),
+                            _ => draw(1 << 16),
+                        };
+                        issue += interval * intervals + Cycles::new(draw(interval.get()));
+                        let bytes = Bytes::new(draw((64 << 10) + 1));
+                        let request = DmaRequest::new(bytes, TrafficClass::KvCache);
+                        prop_assert_eq!(
+                            fast.submit(request, issue),
+                            stepwise_submit(&mut slow, request, issue)
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(fast.stats(), slow.stats());
+            prop_assert_eq!(fast.total_stall_cycles(), slow.total_stall_cycles());
+            prop_assert_eq!(&fast, &slow);
+        }
     }
 
     #[test]

@@ -130,11 +130,12 @@
 //!
 //! # Known simplifications
 //!
-//! None remain open. The single source of truth for the memory model's
-//! retired-simplification ledger — what each gap was, which configuration
-//! retires it, and the opt-in defaults that keep earlier results
-//! reproducing byte for byte — is `docs/memory.md` (see its "Remaining
-//! simplifications" section).
+//! One remains open: while the CC and MC stages overlap, each is priced
+//! with the whole DRAM interface rather than a split of it. The single
+//! source of truth for the memory model's gaps — the open one, what each
+//! retired gap was, which configuration retires it, and the opt-in
+//! defaults that keep earlier results reproducing byte for byte — is
+//! `docs/memory.md` (see its "Remaining simplifications" section).
 //!
 //! # Example
 //!

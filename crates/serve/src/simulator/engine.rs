@@ -1,4 +1,5 @@
-//! The resumable heap engine behind [`ServeSimulator::run`].
+//! The resumable event engine behind [`ServeSimulator::run`]: an arrival
+//! heap and two completion slots.
 
 use edgemm_core::units::{Bytes, Cycles, Tokens};
 use edgemm_event::EventQueue;
@@ -10,23 +11,22 @@ use crate::policy::{PolicyKey, QueuedRequest, SchedulePolicy};
 use crate::request::ServeRequest;
 use crate::slo::AdmissionControl;
 
-/// What the engine pops from its [`EventQueue`]. DMA transfers complete
-/// within the chunk or step that forced them, so they need no event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    /// Request `states[i]` enters the CC queue.
-    Arrival(usize),
-    /// The CC stage finishes the current prefill chunk of `states[i]`.
-    ChunkDone(usize),
-    /// The MC stage finishes the decode step of the current batch.
-    StepDone,
-}
-
-/// Deterministic work counts of one serve run's CC dispatch. They are the
-/// same on every host, so tests can pin them where wall time can only
-/// inform. Read them with [`ServeScratch::counters`] after a run.
+/// Deterministic work counts of one serve run: its events and DMA
+/// transfers, and the work of its CC dispatch. They are the same on every
+/// host, so tests can pin them where wall time can only inform. Read them
+/// with [`ServeScratch::counters`] after a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeCounters {
+    /// Cycles processed: one per [`QueueSample`], whatever happened at it.
+    pub events: u64,
+    /// Prefill chunks completed.
+    pub chunk_completions: u64,
+    /// Decode steps completed. [`ServeEngine::finish`] completes every
+    /// step it starts, so this count is the report's `decode_steps`.
+    pub step_completions: u64,
+    /// KV image transfers (spill, restore or copy-on-write) priced on the
+    /// DMA engine.
+    pub dma_transfers: u64,
     /// Times the CC stage was idle with a non-empty queue and looked for a
     /// chunk to start.
     pub cc_dispatches: u64,
@@ -42,6 +42,18 @@ pub struct ServeCounters {
     /// Picks made by the forced second pass, which admits its pick past
     /// the pool budget so a fully held pool cannot deadlock.
     pub forced_picks: u64,
+}
+
+/// [`ServeSimulator::dma_transfer_cycles`] on the run's engine, counting
+/// each transfer the engine prices.
+fn price_dma(
+    dma: &mut Option<DmaEngine>,
+    counters: &mut ServeCounters,
+    bytes: Bytes,
+    now: Cycles,
+) -> Cycles {
+    counters.dma_transfers += u64::from(dma.is_some() && !bytes.is_zero());
+    ServeSimulator::dma_transfer_cycles(dma, bytes, now)
 }
 
 /// When a queued request's TTFT deadline is still in reach: while its
@@ -299,22 +311,23 @@ impl CcQueue {
 pub struct ServeScratch {
     /// Every pushed request, in push order.
     states: Vec<InFlight>,
-    /// How many of `states` have their arrival in `events`. A push only
-    /// admits and the next advance schedules the new arrivals, so a
+    /// How many of `states` have their arrival in `arrival_heap`. A push
+    /// only admits and the next advance schedules the new arrivals, so a
     /// one-shot run admits every request before the heap grows (interleaved,
     /// the two cost ~2 MiB more peak RSS at the benchmark's light load).
     scheduled: usize,
-    events: EventQueue<Event>,
+    /// The scheduled arrivals, by state index: the only events in a heap.
+    arrival_heap: EventQueue<usize>,
     cc_queue: CcQueue,
     /// The arrivals popped in one cycle, sorted by id before they queue.
     arrivals: Vec<usize>,
     ready: Vec<usize>,
     batch: Vec<usize>,
-    /// The request whose chunk the CC stage runs (its `ChunkDone` is in
-    /// `events`; never more than one, never cancelled).
-    cc_busy: Option<usize>,
-    /// Whether a decode step (and its `StepDone`) is in flight.
-    step_in_flight: bool,
+    /// The request whose chunk the CC stage runs, and the cycle the chunk
+    /// completes at (never more than one, never cancelled).
+    cc_busy: Option<(usize, Cycles)>,
+    /// The cycle the decode step in flight completes at.
+    step_end: Option<Cycles>,
     /// The request whose chunk just finished and went back to the queue:
     /// the only request a pick can *preempt* (displace mid-prefill).
     cc_resumable: Option<usize>,
@@ -330,7 +343,6 @@ pub struct ServeScratch {
     /// The previous run's sample count: the log moves into the report, so
     /// only its size can pre-size the next run's.
     samples_hint: usize,
-    decode_steps: u64,
     preemptions: u64,
     restarted_prefill_tokens: Tokens,
     counters: ServeCounters,
@@ -353,13 +365,13 @@ impl ServeScratch {
     fn reset(&mut self, simulator: &ServeSimulator<'_>) {
         self.states.clear();
         self.scheduled = 0;
-        self.events.clear();
+        self.arrival_heap.clear();
         self.cc_queue.reset(simulator.config.admission);
         self.arrivals.clear();
         self.ready.clear();
         self.batch.clear();
         self.cc_busy = None;
-        self.step_in_flight = false;
+        self.step_end = None;
         self.cc_resumable = None;
         self.last_event = None;
         self.kv = simulator.config.kv;
@@ -370,7 +382,6 @@ impl ServeScratch {
         self.rejected_order.clear();
         self.queue_samples.clear();
         self.queue_samples.reserve(self.samples_hint);
-        self.decode_steps = 0;
         self.preemptions = 0;
         self.restarted_prefill_tokens = Tokens::ZERO;
         self.counters = ServeCounters::default();
@@ -385,12 +396,18 @@ impl ServeScratch {
 /// one-shot run pushes every request, then finishes; the fleet gateway
 /// steps one engine per replica on one clock.
 ///
-/// Arrivals, prefill-chunk completions and decode-step completions are
-/// events in an [`EventQueue`]. Each processed cycle pops everything due,
-/// applies it grouped by kind (arrivals in id order, then the chunk
+/// Arrivals wait in an [`EventQueue`]. At most one prefill chunk and one
+/// decode step are ever in flight, and neither is ever cancelled, so their
+/// completions sit in two slots beside it: the next event is the earliest
+/// of the heap top and the two slots, and scheduling or taking a
+/// completion is a field write. Each processed cycle takes everything
+/// due, applies it grouped by kind (arrivals in id order, then the chunk
 /// completion, then the step completion — the reference engine's drain
 /// order), dispatches the CC stage, then the MC stage, and records one
-/// [`QueueSample`].
+/// [`QueueSample`]. An event costs the same however much model time the
+/// run spans (the DMA engine jumps its throttling window across an idle
+/// gap in one step) and however many arrivals are still pending (only an
+/// arrival pays the heap's O(log n) pop).
 #[derive(Debug)]
 pub struct ServeEngine<'e, 'a> {
     simulator: &'e ServeSimulator<'a>,
@@ -484,7 +501,7 @@ impl ServeEngine<'_, '_> {
     pub fn advance_until(&mut self, now_s: f64) {
         let clock_hz = self.simulator.clock_hz();
         self.schedule_arrivals();
-        while let Some(now) = self.scratch.events.next_cycle() {
+        while let Some(now) = self.next_cycle() {
             if now.seconds_at(clock_hz) > now_s {
                 break;
             }
@@ -519,7 +536,7 @@ impl ServeEngine<'_, '_> {
     /// Panics if two pushed requests share an id.
     pub fn finish(mut self) -> ServeReport {
         self.schedule_arrivals();
-        while let Some(now) = self.scratch.events.next_cycle() {
+        while let Some(now) = self.next_cycle() {
             self.process(now);
         }
         let s = &mut *self.scratch;
@@ -539,7 +556,7 @@ impl ServeEngine<'_, '_> {
             &s.completed_order,
             &s.rejected_order,
             std::mem::take(&mut s.queue_samples),
-            s.decode_steps,
+            s.counters.step_completions,
             s.preemptions,
             s.restarted_prefill_tokens,
             &s.kv,
@@ -547,30 +564,40 @@ impl ServeEngine<'_, '_> {
         )
     }
 
-    /// Put the arrivals pushed since the last advance into the heap.
+    /// Put the arrivals pushed since the last advance into the heap, sized
+    /// for all of them at once (a one-shot run's whole trace is one
+    /// allocation, not a doubling chain).
     fn schedule_arrivals(&mut self) {
         let s = &mut *self.scratch;
+        s.arrival_heap.reserve(s.states.len() - s.scheduled);
         for (idx, state) in s.states.iter().enumerate().skip(s.scheduled) {
-            s.events.push(state.arrival_cycle, Event::Arrival(idx));
+            s.arrival_heap.push(state.arrival_cycle, idx);
         }
         s.scheduled = s.states.len();
     }
 
-    /// Process everything due at cycle `now`. Completions land strictly
-    /// after the cycle that scheduled them (chunks and steps are clamped to
-    /// ≥ 1 cycle), so every event at `now` belongs here.
+    /// The cycle of the next event: the earliest of the next arrival, the
+    /// chunk completion and the step completion.
+    fn next_cycle(&self) -> Option<Cycles> {
+        let s = &*self.scratch;
+        let chunk = s.cc_busy.map(|(_, end)| end);
+        [s.arrival_heap.next_cycle(), chunk, s.step_end]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// Process everything due at cycle `now`, the earliest pending event.
+    /// Completions land strictly after the cycle that scheduled them
+    /// (chunks and steps are clamped to ≥ 1 cycle), so a slot due at `now`
+    /// was never due at an earlier processed cycle.
     fn process(&mut self, now: Cycles) {
         let s = &mut *self.scratch;
         debug_assert!(s.last_event.map_or(true, |last| last < now));
         s.last_event = Some(now);
-        let mut chunk_done = None;
-        let mut step_done = false;
-        while let Some((_, event)) = s.events.pop_due(now) {
-            match event {
-                Event::Arrival(idx) => s.arrivals.push(idx),
-                Event::ChunkDone(idx) => chunk_done = Some(idx),
-                Event::StepDone => step_done = true,
-            }
+        s.counters.events += 1;
+        while let Some((_, idx)) = s.arrival_heap.pop_due(now) {
+            s.arrivals.push(idx);
         }
         // Same-cycle arrivals join in id order, whatever their push order.
         let states = &s.states;
@@ -579,9 +606,9 @@ impl ServeEngine<'_, '_> {
             s.cc_queue.push(idx, &s.states, self.policy);
         }
         s.arrivals.clear();
-        if let Some(idx) = chunk_done {
-            debug_assert_eq!(s.cc_busy, Some(idx));
+        if let Some((idx, _)) = s.cc_busy.filter(|&(_, end)| end <= now) {
             s.cc_busy = None;
+            s.counters.chunk_completions += 1;
             let state = &mut s.states[idx];
             state.remaining_prefill_cycles -= state.chunk_cycles[state.chunks_done];
             state.chunks_done += 1;
@@ -602,8 +629,9 @@ impl ServeEngine<'_, '_> {
                 s.cc_resumable = Some(idx);
             }
         }
-        if step_done {
-            s.step_in_flight = false;
+        if s.step_end.is_some_and(|end| end <= now) {
+            s.step_end = None;
+            s.counters.step_completions += 1;
             for &idx in &s.batch {
                 s.states[idx].remaining_tokens -= 1;
                 s.states[idx].generated += 1;
@@ -827,11 +855,9 @@ impl ServeEngine<'_, '_> {
         // A freshly attached prefix owes its copy-on-write bytes: the DMA
         // transfer extends this chunk.
         let copied = std::mem::replace(&mut state.pending_copy_bytes, Bytes::ZERO);
-        let copy_cycles = ServeSimulator::dma_transfer_cycles(&mut s.dma, copied, now);
+        let copy_cycles = price_dma(&mut s.dma, &mut s.counters, copied, now);
         let chunk = state.chunk_cycles[state.chunks_done];
-        s.events
-            .push(now + chunk + copy_cycles, Event::ChunkDone(idx));
-        s.cc_busy = Some(idx);
+        s.cc_busy = Some((idx, now + chunk + copy_cycles));
     }
 
     /// The CC gate for `idx`'s next chunk (`ServeSimulator::cc_chunk_gate`;
@@ -863,7 +889,7 @@ impl ServeEngine<'_, '_> {
     /// every paged stream for the token the step generates, then price and
     /// start the step.
     fn dispatch_decode(&mut self, now: Cycles) {
-        if self.scratch.step_in_flight {
+        if self.scratch.step_end.is_some() {
             return;
         }
         // Spilled or restored KV images extend the step that forced them.
@@ -883,9 +909,7 @@ impl ServeEngine<'_, '_> {
         let step = self
             .simulator
             .decode_step_cycles(contexts, kv_factor, &mut s.decode_memo);
-        s.events.push(now + step + dma_cycles, Event::StepDone);
-        s.step_in_flight = true;
-        s.decode_steps += 1;
+        s.step_end = Some(now + step + dma_cycles);
     }
 
     /// Top the batch up from the ready set in the policy's join order. A
@@ -973,7 +997,7 @@ impl ServeEngine<'_, '_> {
                 return false;
             }
             state.spill = None;
-            *dma_cycles += ServeSimulator::dma_transfer_cycles(&mut s.dma, ticket.bytes(), now);
+            *dma_cycles += price_dma(&mut s.dma, &mut s.counters, ticket.bytes(), now);
             return true;
         }
         let context = Tokens::new(state.context_tokens());
@@ -1093,7 +1117,7 @@ impl ServeEngine<'_, '_> {
         let victim = s.batch.remove(pos);
         let state = &mut s.states[victim];
         if let Some(ticket) = pool.try_spill(&mut state.table) {
-            *dma_cycles += ServeSimulator::dma_transfer_cycles(&mut s.dma, ticket.bytes(), now);
+            *dma_cycles += price_dma(&mut s.dma, &mut s.counters, ticket.bytes(), now);
             state.spill = Some(ticket);
             s.ready.push(victim);
             return true;

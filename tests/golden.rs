@@ -965,15 +965,17 @@ fn golden_serve_report_digests() {
     }
 }
 
-/// CC-dispatch work at the benchmark's overload point `T(N, 48/s, 23)` on
-/// its serve stack (EDF + Defer, 8 MiB paged/16, shared prefixes, 128 MiB
-/// spill), pinned exactly: counts are the same on every host. Each point
-/// runs from a fresh session twice, keyed and through [`Unkeyed`], which
-/// hides EDF's key so the engine scans. Both runs must serve the same
-/// report with the same dispatches, picks, refusals and forced picks; the
-/// keyed run visits one key per pick (its refusals plus the chunk it
-/// starts), while the scan offers the policy the whole rest of the queue
-/// after every refusal.
+/// Serve work at the benchmark's points `T(N, rate, 23)` on its serve
+/// stack (EDF + Defer, 8 MiB paged/16, shared prefixes, 128 MiB spill),
+/// pinned exactly: counts are the same on every host. The overload points
+/// (48/s) pin CC dispatch under deep queues, the light one (2/s, the
+/// `serve_light` trace) a run that mostly idles between arrivals. Each
+/// point runs from a fresh session twice, keyed and through [`Unkeyed`],
+/// which hides EDF's key so the engine scans. Both runs must serve the
+/// same report with the same events, completions, DMA transfers,
+/// dispatches, picks, refusals and forced picks; the keyed run visits one
+/// key per pick (its refusals plus the chunk it starts), while the scan
+/// offers the policy the whole rest of the queue after every refusal.
 #[test]
 fn golden_cc_dispatch_counters() {
     let system = EdgeMm::paper_default();
@@ -981,24 +983,86 @@ fn golden_cc_dispatch_counters() {
     let options = ServeOptions::memory_aware(Bytes::new(8 << 20), 64)
         .paged(16)
         .shared_prefixes(Bytes::new(128 << 20));
-    let bench_trace = |requests: usize| {
+    let bench_trace = |requests: usize, rate: f64| {
         merge(&[
-            TraceConfig::multi_tenant(6, requests, 48.0, 23).generate(),
+            TraceConfig::multi_tenant(6, requests, rate, 23).generate(),
             TraceConfig {
                 text_tokens: (512, 768),
-                ..TraceConfig::background(requests / 12, 12.0, 123)
+                ..TraceConfig::background(requests / 12, rate / 4.0, 123)
             }
             .generate(),
         ])
     };
-    // (N, dispatches, picks, refusals, forced picks, scan candidates)
-    let points: [(usize, u64, u64, u64, u64, u64); 3] = [
-        (400, 3_759, 3_759, 0, 0, 585_083),
-        (800, 8_223, 32_960, 25_408, 0, 7_694_042),
-        (1600, 18_387, 169_598, 154_471, 0, 14_237_421),
+    // Per point `T(N, rate)`: the keyed run's counters, and the candidates
+    // the scan offers the policy.
+    let points = [
+        (
+            400,
+            48.0,
+            ServeCounters {
+                events: 30_796,
+                chunk_completions: 3_759,
+                step_completions: 26_604,
+                dma_transfers: 910,
+                cc_dispatches: 3_759,
+                cc_picks: 3_759,
+                cc_candidates: 3_759,
+                gate_refusals: 0,
+                forced_picks: 0,
+            },
+            585_083,
+        ),
+        (
+            800,
+            48.0,
+            ServeCounters {
+                events: 61_209,
+                chunk_completions: 7_552,
+                step_completions: 52_791,
+                dma_transfers: 1_759,
+                cc_dispatches: 8_223,
+                cc_picks: 32_960,
+                cc_candidates: 32_960,
+                gate_refusals: 25_408,
+                forced_picks: 0,
+            },
+            7_694_042,
+        ),
+        (
+            1600,
+            48.0,
+            ServeCounters {
+                events: 123_167,
+                chunk_completions: 15_127,
+                step_completions: 106_307,
+                dma_transfers: 3_422,
+                cc_dispatches: 18_387,
+                cc_picks: 169_598,
+                cc_candidates: 169_598,
+                gate_refusals: 154_471,
+                forced_picks: 0,
+            },
+            14_237_421,
+        ),
+        (
+            1600,
+            2.0,
+            ServeCounters {
+                events: 123_267,
+                chunk_completions: 15_227,
+                step_completions: 106_307,
+                dma_transfers: 3_019,
+                cc_dispatches: 15_382,
+                cc_picks: 15_800,
+                cc_candidates: 15_800,
+                gate_refusals: 573,
+                forced_picks: 0,
+            },
+            33_993,
+        ),
     ];
-    for (requests, dispatches, picks, refusals, forced, scanned) in points {
-        let trace = bench_trace(requests);
+    for (requests, rate, counters, scanned) in points {
+        let trace = bench_trace(requests, rate);
         let mut session = system.serve_session(&model, options);
         let report = session.serve(&trace);
         let keyed = session.counters();
@@ -1009,12 +1073,12 @@ fn golden_cc_dispatch_counters() {
             .run_with_scratch(&trace, &edf, &mut scratch);
         let scan = scratch.counters();
         if probing() {
-            println!("cc_counters.T({requests}) keyed {keyed:?}\n  scan {scan:?}");
+            println!("cc_counters.T({requests}, {rate}) keyed {keyed:?}\n  scan {scan:?}");
             continue;
         }
         assert_eq!(
             scan_report, report,
-            "T({requests}): scan and keyed reports differ"
+            "T({requests}, {rate}): scan and keyed reports differ"
         );
         let work = |c: ServeCounters| ServeCounters {
             cc_candidates: 0,
@@ -1023,24 +1087,27 @@ fn golden_cc_dispatch_counters() {
         assert_eq!(
             work(scan),
             work(keyed),
-            "T({requests}): scan and keyed work differ"
+            "T({requests}, {rate}): scan and keyed work differ"
         );
         assert_eq!(
-            keyed,
-            ServeCounters {
-                cc_dispatches: dispatches,
-                cc_picks: picks,
-                // One key per pick: its refusals, plus the chunk starts
-                // (`picks - refusals`).
-                cc_candidates: picks,
-                gate_refusals: refusals,
-                forced_picks: forced,
-            },
-            "T({requests}): keyed counters drifted"
+            keyed, counters,
+            "T({requests}, {rate}): keyed counters drifted"
+        );
+        // One key per pick: its refusals, plus the chunk starts.
+        assert_eq!(keyed.cc_candidates, keyed.cc_picks);
+        // lint:allow(unit-cast): a dimensionless count
+        let samples = report.queue_samples.len() as u64;
+        assert_eq!(
+            keyed.events, samples,
+            "T({requests}, {rate}): one sample per event"
+        );
+        assert_eq!(
+            keyed.step_completions, report.decode_steps,
+            "T({requests}, {rate}): every started step completes"
         );
         assert_eq!(
             scan.cc_candidates, scanned,
-            "T({requests}): scan candidates drifted"
+            "T({requests}, {rate}): scan candidates drifted"
         );
     }
 }

@@ -664,8 +664,10 @@ proptest! {
     /// the full shared-prefix/spill stack, and eager accounting with no
     /// spill area — the family that reaches the forced pick), every trace
     /// shape (uniform interactive, interactive+background merge,
-    /// multi-tenant) and every built-in policy, `run` and the retired
-    /// advance-and-scan `run_reference` produce equal
+    /// multi-tenant, and two multi-tenant bursts up to 10^6 model-seconds
+    /// apart on the shared-prefix/spill stack, so the engine drains fully
+    /// and its DMA engine idles across the gap) and every built-in policy,
+    /// `run` and the retired advance-and-scan `run_reference` produce equal
     /// [`edgemm::serve::ServeReport`]s — every timeline, sample and counter.
     /// The gated families also draw their admission mode, and each run is
     /// repeated behind [`Unkeyed`], which hides the policy's key so the
@@ -675,7 +677,7 @@ proptest! {
     #[test]
     fn heap_engine_is_byte_identical_to_the_reference_engine(
         preset_sel in 0usize..6,
-        trace_sel in 0usize..3,
+        trace_sel in 0usize..4,
         policy_sel in 0usize..4,
         admission_sel in 0usize..3,
         requests in 1usize..25,
@@ -683,18 +685,31 @@ proptest! {
         capacity_tokens in 128u64..1024,
         block in 1usize..33,
         seed in 0u64..1000,
+        gap_s in 1.0f64..1e6,
     ) {
         let machine = Machine::new(SimConfig::paper_default());
         let model = tiny_model();
-        // Up to 48 requests: the two-trace merge doubles `requests`.
+        // Up to 50 requests: the two-trace merges double `requests`.
+        let tenants = |seed| TraceConfig::multi_tenant(2, requests + 1, rate, seed).generate();
+        let first = tenants(seed);
+        // Where the idle-gap family's second burst begins.
+        let resume_s = first.iter().map(|r| r.arrival_s).fold(0.0, f64::max) + gap_s;
         let trace = match trace_sel {
             0 => TraceConfig::interactive(requests, rate, seed).generate(),
             1 => edgemm::serve::merge(&[
                 TraceConfig::interactive(requests, rate, seed).generate(),
                 TraceConfig::background(requests, rate / 4.0, seed + 1).generate(),
             ]),
-            _ => TraceConfig::multi_tenant(2, requests + 1, rate, seed).generate(),
+            2 => first,
+            _ => {
+                let mut second = tenants(seed + 1);
+                for request in &mut second {
+                    request.arrival_s += resume_s;
+                }
+                edgemm::serve::merge(&[first, second])
+            }
         };
+        let idle_gap = trace_sel == 3;
         // Mirror the facade's `ServeOptions -> ServeConfig` mapping: the
         // memory-aware presets get an on-chip tier and the spill penalty,
         // with the budget sized in tokens so pressure (and eviction) varies
@@ -719,6 +734,7 @@ proptest! {
                 .with_eager_kv_accounting()
                 .with_admission(admission)
         };
+        let preset_sel = if idle_gap { 4 } else { preset_sel };
         let config = match preset_sel {
             0 => ServeConfig::with_batch_cap(4),
             1 => ServeConfig::with_batch_cap(4).with_admission(AdmissionControl::Defer),
@@ -737,6 +753,14 @@ proptest! {
         prop_assert_eq!(&heap, &reference);
         let scanned = sim.run(&trace, &Unkeyed(policy));
         prop_assert_eq!(&heap, &scanned);
+        if idle_gap {
+            // Every request of the first burst leaves before the second
+            // burst begins.
+            let before = |t: f64| t < resume_s;
+            let drained = heap.completed.iter().all(|r| before(r.arrival_s) == before(r.finish_s))
+                && heap.rejected.iter().all(|r| before(r.arrival_s) == before(r.reject_s));
+            prop_assert!(drained, "the engine did not drain across the gap");
+        }
     }
 
     /// With sharing, spill and eager accounting all disabled, the paged
