@@ -37,13 +37,12 @@
 //! the bin smoke test). See `docs/serving.md` and `docs/memory.md` for how
 //! to read the output.
 //!
-//! Set `EDGEMM_BENCH_JSON=1` to also time the pinned serving workloads and
-//! write `BENCH_serving.json` — requests simulated per wall-second for the
-//! three golden points (each with `speedup_vs_seed` against its seed-engine
-//! baseline), a `fleet` entry timing the 16-replica golden routing point
-//! across every policy, plus a `full_sweep` entry timing the whole
-//! five-section sweep serially and at `EDGEMM_THREADS`, whose ratio is the
-//! recorded `parallel_speedup` (ROADMAP direction 3).
+//! Set `EDGEMM_BENCH_JSON=1` to also write `BENCH_serving.json`: one
+//! `full_sweep` entry timing the whole five-section sweep serially and at
+//! `EDGEMM_THREADS`, whose ratio is the recorded `parallel_speedup`. The
+//! serve engine and the fleet gateway are timed by the repository
+//! benchmark (`perfbench/`), and their work is pinned by the
+//! `golden_cc_dispatch_counters` test.
 
 use edgemm::serve::{merge, AdmissionControl, PolicyKind, ServeRequest, TraceConfig};
 use edgemm::units::Bytes;
@@ -486,64 +485,11 @@ fn fleet_sweep(rows: &[String], smoke: bool) {
     );
 }
 
-/// Seed baselines for `speedup_vs_seed`, in requests simulated per
-/// wall-second, all captured the same way: the seed engine (the PR 5
-/// advance-and-scan loop, retained as `ServeSimulator::run_reference`)
-/// replaying each section's exact trace and configuration on the CI-class
-/// host, 5 timed repeats after an untimed warm-up. The bench-smoke test
-/// asserts the checked-in speedups never regress below 1.0.
-const SEED_MULTI_TENANT_REQUESTS_PER_S: f64 = 727.7;
-/// Seed baseline of `golden_paged_eviction_point`: median of repeated
-/// `run_reference` timings on this section's exact trace and config (see
-/// [`SEED_MULTI_TENANT_REQUESTS_PER_S`] for the measurement protocol).
-const SEED_PAGED_EVICTION_REQUESTS_PER_S: f64 = 4900.0;
-/// Seed baseline of `plain_sweep_point` (same protocol).
-const SEED_PLAIN_SWEEP_REQUESTS_PER_S: f64 = 17000.0;
-
-/// One timed section: untimed warm-up, then `repeats` timed serves of the
-/// same trace, all through one [`ServeSession`](edgemm::ServeSession) so
-/// the hot loop reuses the session's pricing caches and scratch
-/// allocations instead of re-building them per serve. Returns
-/// (wall seconds, requests simulated).
-fn time_section(
-    system: &EdgeMm,
-    trace: &[ServeRequest],
-    options: ServeOptions,
-    repeats: u32,
-) -> (f64, usize) {
-    use std::time::Instant;
-    let model = zoo::sphinx_tiny();
-    let mut session = system.serve_session(&model, options);
-    session.serve(trace);
-    let start = Instant::now();
-    let mut simulated = 0usize;
-    for _ in 0..repeats {
-        simulated += session.serve(trace).submitted();
-    }
-    (start.elapsed().as_secs_f64(), simulated)
-}
-
-/// Simulator throughput per bench section, written to `BENCH_serving.json`
-/// as a JSON array — one entry per pinned workload:
-///
-/// * `golden_multi_tenant_sharing_point`: 3 tenants plus long-prompt
-///   background at an 8 MiB paged budget with prefix sharing and
-///   spill-and-restore — the headline point.
-/// * `golden_paged_eviction_point`: the paged-eviction overload trace at an
-///   8 MiB budget (chunk 320, block 16).
-/// * `plain_sweep_point`: the unconstrained continuous-batching sweep cell
-///   (interactive trace, constant cap, no memory model).
-/// * `fleet`: the 16-replica golden fleet routing point served through
-///   every routing policy per repeat — requests routed (dispatched) per
-///   wall-second, with the replica count, policy count and worker threads
-///   recorded alongside.
-/// * `full_sweep`: wall seconds for all five sweep sections' points,
-///   computed serially and again at `EDGEMM_THREADS` workers —
-///   `parallel_speedup` is the ratio, and the recorded `threads` /
-///   `host_parallelism` say what the host could actually offer.
-///
-/// Each serve section records `speedup_vs_seed` against its seed-engine
-/// baseline constant.
+/// Writes `BENCH_serving.json`: a JSON array holding one `full_sweep`
+/// entry — wall seconds for all five sweep sections' points, computed
+/// serially and again at `EDGEMM_THREADS` workers. `parallel_speedup` is
+/// the ratio, and the recorded `threads` / `host_parallelism` say what the
+/// host could actually offer.
 ///
 /// Wall-clock use is deliberate and confined to this bin: the simulated
 /// *reports* stay bit-identical across runs and thread counts (the
@@ -551,109 +497,8 @@ fn time_section(
 /// host-side speed of producing them varies.
 fn bench_json(system: &EdgeMm, sweep: &Sweep, smoke: bool) {
     use std::time::Instant;
-    let repeats = 5u32;
-    let multi_tenant_trace = merge(&[
-        TraceConfig::multi_tenant(3, 24, 8.0, 19).generate(),
-        TraceConfig {
-            text_tokens: (512, 768),
-            ..TraceConfig::background(4, 3.0, 119)
-        }
-        .generate(),
-    ]);
-    let paged_trace = merge(&[
-        TraceConfig::interactive(24, 12.0, 11).generate(),
-        TraceConfig {
-            text_tokens: (512, 768),
-            ..TraceConfig::background(8, 3.0, 12)
-        }
-        .generate(),
-    ]);
-    let plain_trace = TraceConfig::interactive(32, 16.0, 11).generate();
-    let sections: [(&str, &[ServeRequest], ServeOptions, f64); 3] = [
-        (
-            "golden_multi_tenant_sharing_point",
-            &multi_tenant_trace,
-            ServeOptions::memory_aware(Bytes::new(8 << 20), 64)
-                .paged(16)
-                .shared_prefixes(Bytes::new(128 << 20)),
-            SEED_MULTI_TENANT_REQUESTS_PER_S,
-        ),
-        (
-            "golden_paged_eviction_point",
-            &paged_trace,
-            ServeOptions::memory_aware(Bytes::new(8 << 20), 320).paged(16),
-            SEED_PAGED_EVICTION_REQUESTS_PER_S,
-        ),
-        (
-            "plain_sweep_point",
-            &plain_trace,
-            ServeOptions {
-                batch_cap: Some(8),
-                ..ServeOptions::with_pruning()
-            },
-            SEED_PLAIN_SWEEP_REQUESTS_PER_S,
-        ),
-    ];
-    let mut entries = Vec::new();
-    for (name, trace, options, seed_requests_per_s) in sections {
-        let (wall_s, simulated) = time_section(system, trace, options, repeats);
-        let requests_per_s = simulated as f64 / wall_s;
-        let speedup = requests_per_s / seed_requests_per_s;
-        println!("[bench] {name}: {requests_per_s:.1} requests/wall-second ({speedup:.2}x seed)");
-        entries.push(format!(
-            "  {{\n    \"bench\": \"serving_sweep/{name}\",\n    \
-             \"unit\": \"requests_simulated_per_wall_second\",\n    \
-             \"requests_per_trace\": {},\n    \"repeats\": {repeats},\n    \
-             \"wall_s\": {wall_s:.6},\n    \"requests_per_s\": {requests_per_s:.1},\n    \
-             \"speedup_vs_seed\": {speedup:.2}\n  }}",
-            trace.len(),
-        ));
-    }
-    // The fleet entry: the golden 16-replica routing point through every
-    // policy per repeat. Routing rebuilds each replica's simulator per
-    // serve, so this times the whole gateway path (replica views at every
-    // arrival, routing, each replica's serve), not just the inner serve
-    // loop.
-    let fleet_trace = fleet_trace(smoke);
-    let fleet_replicas = if smoke { 4 } else { 16 };
-    let fleet_options = fleet_options();
-    let fleet_model = zoo::sphinx_tiny();
-    let mut fleet_routed = 0usize;
-    let fleet_start = Instant::now();
-    for _ in 0..repeats {
-        for kind in RoutingKind::ALL {
-            fleet_routed += system
-                .serve_fleet(
-                    &fleet_model,
-                    &fleet_trace,
-                    fleet_replicas,
-                    kind,
-                    fleet_options,
-                )
-                .dispatched();
-        }
-    }
-    let fleet_wall_s = fleet_start.elapsed().as_secs_f64();
-    let fleet_requests_per_s = fleet_routed as f64 / fleet_wall_s;
-    let fleet_pool = Pool::from_env();
-    println!(
-        "[bench] fleet: {fleet_requests_per_s:.1} requests routed/wall-second \
-         ({fleet_replicas} replicas x {} policies)",
-        RoutingKind::ALL.len()
-    );
-    entries.push(format!(
-        "  {{\n    \"bench\": \"serving_sweep/fleet\",\n    \
-         \"unit\": \"fleet_requests_routed_per_wall_second\",\n    \
-         \"requests_per_trace\": {},\n    \"replicas\": {fleet_replicas},\n    \
-         \"policies\": {},\n    \"repeats\": {repeats},\n    \
-         \"threads\": {},\n    \"wall_s\": {fleet_wall_s:.6},\n    \
-         \"requests_per_s\": {fleet_requests_per_s:.1}\n  }}",
-        fleet_trace.len(),
-        RoutingKind::ALL.len(),
-        fleet_pool.threads(),
-    ));
-    // The full-sweep timing: the printed run in main() already served as
-    // the warm-up pass for both timed passes below.
+    // The printed run in main() already served as the warm-up pass for
+    // both timed passes.
     let serial_start = Instant::now();
     let serial = sweep_rows(system, sweep, smoke, &Pool::serial());
     let serial_wall_s = serial_start.elapsed().as_secs_f64();
@@ -672,16 +517,15 @@ fn bench_json(system: &EdgeMm, sweep: &Sweep, smoke: bool) {
          {} thread(s) {wall_s:.2}s ({parallel_speedup:.2}x)",
         pool.threads()
     );
-    entries.push(format!(
-        "  {{\n    \"bench\": \"serving_sweep/full_sweep\",\n    \
+    let json = format!(
+        "[\n  {{\n    \"bench\": \"serving_sweep/full_sweep\",\n    \
          \"unit\": \"sweep_wall_seconds\",\n    \
          \"points\": {points},\n    \"threads\": {},\n    \
          \"host_parallelism\": {},\n    \"serial_wall_s\": {serial_wall_s:.6},\n    \
-         \"wall_s\": {wall_s:.6},\n    \"parallel_speedup\": {parallel_speedup:.2}\n  }}",
+         \"wall_s\": {wall_s:.6},\n    \"parallel_speedup\": {parallel_speedup:.2}\n  }}\n]\n",
         pool.threads(),
         edgemm_exec::host_parallelism(),
-    ));
-    let json = format!("[\n{}\n]\n", entries.join(",\n"));
+    );
     let path = "BENCH_serving.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("[bench] wrote {path}"),

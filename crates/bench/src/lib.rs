@@ -16,8 +16,12 @@
 //! | `table2_gpu` | Table II — EdgeMM vs RTX 3060 Laptop |
 //!
 //! Run them all with `cargo run -p edgemm-bench --bin <name> --release`.
-//! The Criterion benches (`coprocessors`, `end_to_end`) measure the cost of
-//! the simulator itself and the scaling of the core kernels.
+//! `serving_sweep` sweeps the serving stack beyond the paper. The one
+//! Criterion bench, `coprocessors`, times the coprocessor models
+//! (systolic-array GEMM, CIM GEMV, the activation-aware pruner); no
+//! benchmark workload runs the first two. The repository benchmark
+//! (`perfbench/`) times the rest: the serve engine, the fleet gateway and
+//! the figure generators.
 
 /// Format a byte count with a binary-prefix unit.
 pub fn format_bytes(bytes: u64) -> String {

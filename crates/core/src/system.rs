@@ -507,7 +507,7 @@ impl EdgeMm {
     ///
     /// # Panics
     ///
-    /// Panics if `replicas` is zero.
+    /// Panics if `replicas` is zero or two requests share an id.
     pub fn serve_fleet(
         &self,
         model: &MllmConfig,
@@ -528,7 +528,7 @@ impl EdgeMm {
     ///
     /// # Panics
     ///
-    /// Panics if `systems` is empty.
+    /// Panics if `systems` is empty or two requests share an id.
     pub fn serve_fleet_on(
         systems: &[&EdgeMm],
         model: &MllmConfig,

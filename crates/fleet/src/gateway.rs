@@ -35,7 +35,7 @@ use edgemm_serve::{
     PolicyKind, ServeEngine, ServeReport, ServeRequest, ServeScratch, ServeSimulator,
 };
 
-use crate::report::FleetReport;
+use crate::report::{FleetCounters, FleetReport};
 use crate::route::{ReplicaView, RoutePolicy};
 
 /// Resolution of the fleet clock: cycles per second. Replica engines run at
@@ -101,13 +101,20 @@ impl<'a> FleetGateway<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `routing` returns an out-of-range replica index or a
-    /// request arrives at a negative or non-finite time.
+    /// Panics if `routing` returns an out-of-range replica index, a
+    /// request arrives at a negative or non-finite time, or two requests
+    /// share an id.
     pub fn serve(
         &mut self,
         requests: &[ServeRequest],
         routing: &mut dyn RoutePolicy,
     ) -> FleetReport {
+        // Checked here, not left to the replicas: a replica sees only its
+        // own sub-trace, so a duplicate routed to two replicas would pass.
+        let mut ids: Vec<u64> = requests.iter().map(|request| request.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), requests.len(), "request ids must be unique");
         let mut arrivals: Vec<(Cycles, usize)> = requests
             .iter()
             .enumerate()
@@ -157,7 +164,12 @@ impl<'a> FleetGateway<'a> {
             assignments[i] = target;
             engines[target].push(&requests[i]);
         }
+        let replays = engines.iter().map(ServeEngine::replays).sum();
         let replicas: Vec<ServeReport> = engines.into_iter().map(ServeEngine::finish).collect();
+        let counters = FleetCounters {
+            serve: self.replicas.iter().map(|r| r.scratch.counters()).sum(),
+            replays,
+        };
         // The fleet drains when the last arrival is routed and the last
         // replica has finished (completed or rejected) its last request.
         let last_arrival = arrivals.last().map_or(Cycles::ZERO, |&(cycle, _)| cycle);
@@ -177,6 +189,7 @@ impl<'a> FleetGateway<'a> {
             completion_events: u64::try_from(busy_replicas).unwrap_or(u64::MAX),
             stale_completions: 0,
             makespan_s: makespan.seconds_at(FLEET_CLOCK_HZ),
+            counters,
         }
     }
 }
@@ -281,6 +294,30 @@ mod tests {
         assert_eq!(empty.completion_events, 0);
         assert_eq!(empty.stale_completions, 0);
         assert_eq!(empty.makespan_s, 0.0);
+    }
+
+    #[test]
+    fn every_router_rejects_a_duplicated_id() {
+        // Two replicas each see only their own sub-trace, so a duplicate
+        // the router splits across them would pass both engines' checks.
+        let m = machine();
+        let mut trace = trace(4, 5);
+        trace[1].id = trace[0].id;
+        for kind in RoutingKind::ALL {
+            let mut gateway = FleetGateway::new(vec![replica(&m), replica(&m)]);
+            let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                gateway.serve(&trace, kind.policy(5).as_mut())
+            }));
+            let Err(panic) = served else {
+                panic!("{}: a duplicated id was served", kind.name());
+            };
+            let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                message.contains("request ids must be unique"),
+                "{}: {message}",
+                kind.name()
+            );
+        }
     }
 
     /// Least-KV routing that records every view it routes on.

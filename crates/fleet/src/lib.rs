@@ -23,7 +23,7 @@
 //!   [`FleetReplica`]s and the live replica views it routes on.
 //! * [`report`] — [`FleetReport`]: per-replica [`edgemm_serve::ServeReport`]s
 //!   plus fleet-level SLO attainment, load imbalance and cross-replica
-//!   restarted-prefill accounting.
+//!   restarted-prefill accounting, and the run's [`FleetCounters`].
 //!
 //! ## Determinism
 //!
@@ -43,7 +43,7 @@ pub mod report;
 pub mod route;
 
 pub use gateway::{FleetGateway, FleetReplica, FLEET_CLOCK_HZ};
-pub use report::FleetReport;
+pub use report::{FleetCounters, FleetReport};
 pub use route::{
     LeastKvLoaded, PowerOfTwoChoices, PrefixAffinity, ReplicaView, RoundRobin, RoutePolicy,
     RoutingKind,

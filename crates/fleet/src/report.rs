@@ -3,7 +3,7 @@
 
 use edgemm_core::float::{count, fraction};
 use edgemm_core::units::{Bytes, Tokens};
-use edgemm_serve::ServeReport;
+use edgemm_serve::{ServeCounters, ServeReport};
 
 /// What a fleet serve returns: each replica's full [`ServeReport`] (exactly
 /// what a one-shot serve of that replica's sub-trace would report), the
@@ -27,6 +27,20 @@ pub struct FleetReport {
     /// arrival and the last replica's last completion or rejection, both
     /// on the 1 GHz fleet tick (0 for an empty trace).
     pub makespan_s: f64,
+    /// The run's work counts.
+    pub counters: FleetCounters,
+}
+
+/// Deterministic work counts of one fleet run, the same on every host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FleetCounters {
+    /// The replicas' [`ServeCounters`], summed. A replaying replica counts
+    /// its last replay only, so each replica counts what a one-shot serve
+    /// of its sub-trace counts.
+    pub serve: ServeCounters,
+    /// Dispatches that made their replica replay: requests routed at or
+    /// before the target engine's last processed event.
+    pub replays: u64,
 }
 
 impl FleetReport {

@@ -16,8 +16,8 @@ use crate::config::MllmConfig;
 
 /// Semantic class of the DRAM traffic an operator's weights generate.
 ///
-/// This mirrors `edgemm_mem::TrafficClass` (the memory crate must not depend
-/// on the workload crate); the simulator converts between the two.
+/// Mirrors `edgemm_mem::TrafficClass` (the memory crate must not depend on the
+/// workload crate). No code converts: op costs carry this, DMA requests that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TrafficClass {
     /// Feed-forward network weights.

@@ -12,9 +12,10 @@ use crate::request::ServeRequest;
 use crate::slo::AdmissionControl;
 
 /// Deterministic work counts of one serve run: its events and DMA
-/// transfers, and the work of its CC dispatch. They are the same on every
-/// host, so tests can pin them where wall time can only inform. Read them
-/// with [`ServeScratch::counters`] after a run.
+/// transfers, and the work of its CC dispatch and decode joins. They are
+/// the same on every host, so tests can pin them where wall time can only
+/// inform. Read them with [`ServeScratch::counters`] after a run; a fleet
+/// run sums its replicas' counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeCounters {
     /// Cycles processed: one per [`QueueSample`], whatever happened at it.
@@ -42,6 +43,30 @@ pub struct ServeCounters {
     /// Picks made by the forced second pass, which admits its pick past
     /// the pool budget so a fully held pool cannot deadlock.
     pub forced_picks: u64,
+    /// Decode-join picks: one per [`SchedulePolicy::choose_join`] call a
+    /// batch top-up makes.
+    pub join_picks: u64,
+    /// Ready-set entries offered across those calls.
+    pub join_candidates: u64,
+}
+
+impl std::iter::Sum for ServeCounters {
+    /// Field-wise sum, as a fleet totals its replicas' runs.
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| ServeCounters {
+            events: a.events + b.events,
+            chunk_completions: a.chunk_completions + b.chunk_completions,
+            step_completions: a.step_completions + b.step_completions,
+            dma_transfers: a.dma_transfers + b.dma_transfers,
+            cc_dispatches: a.cc_dispatches + b.cc_dispatches,
+            cc_picks: a.cc_picks + b.cc_picks,
+            cc_candidates: a.cc_candidates + b.cc_candidates,
+            gate_refusals: a.gate_refusals + b.gate_refusals,
+            forced_picks: a.forced_picks + b.forced_picks,
+            join_picks: a.join_picks + b.join_picks,
+            join_candidates: a.join_candidates + b.join_candidates,
+        })
+    }
 }
 
 /// [`ServeSimulator::dma_transfer_cycles`] on the run's engine, counting
@@ -413,6 +438,9 @@ pub struct ServeEngine<'e, 'a> {
     simulator: &'e ServeSimulator<'a>,
     policy: &'e dyn SchedulePolicy,
     scratch: &'e mut ServeScratch,
+    /// Pushes that replayed the run. Kept here, not in the scratch, so a
+    /// replay's reset of the scratch's counters leaves it standing.
+    replays: u64,
 }
 
 impl<'a> ServeSimulator<'a> {
@@ -428,6 +456,7 @@ impl<'a> ServeSimulator<'a> {
             simulator: self,
             policy,
             scratch,
+            replays: 0,
         }
     }
 
@@ -491,6 +520,7 @@ impl ServeEngine<'_, '_> {
                 .iter()
                 .map(|state| self.simulator.admit(&state.request, memo));
             s.states.extend(admitted);
+            self.replays += 1;
         } else {
             s.states.push(state);
         }
@@ -507,6 +537,11 @@ impl ServeEngine<'_, '_> {
             }
             self.process(now);
         }
+    }
+
+    /// Pushes so far that made the engine replay (see [`Self::push`]).
+    pub fn replays(&self) -> u64 {
+        self.replays
     }
 
     /// Requests pushed so far.
@@ -965,8 +1000,12 @@ impl ServeEngine<'_, '_> {
         }
     }
 
-    /// The policy's join pick among `ready`, checked in range.
-    fn choose_join(&self, ready: &[QueuedRequest]) -> usize {
+    /// The policy's join pick among `ready`, checked in range and counted.
+    fn choose_join(&mut self, ready: &[QueuedRequest]) -> usize {
+        let counters = &mut self.scratch.counters;
+        counters.join_picks += 1;
+        // lint:allow(unit-cast): a dimensionless count
+        counters.join_candidates += ready.len() as u64;
         let pick = self.policy.choose_join(ready);
         assert!(
             pick < ready.len(),

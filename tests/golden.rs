@@ -10,6 +10,7 @@
 //! reproduction never drifts silently away from the paper.
 
 use edgemm::figures::{fig11_hetero, fig12_pruning, table1_models, table2_gpu_comparison};
+use edgemm::fleet::FleetCounters;
 use edgemm::serve::{
     merge, AdmissionControl, PolicyKind, Priority, ServeCounters, ServeReport, ServeRequest,
     ServeScratch, TraceConfig,
@@ -613,33 +614,62 @@ fn golden_table1_parameter_counts() {
     }
 }
 
-/// A 16-replica multi-tenant overload point through the fleet gateway: the
-/// per-policy SLO attainments, restarted-prefill totals and load imbalance
-/// pin the whole routing stack — event interleaving, load projection and
-/// every built-in `RoutePolicy` — to six significant figures. The point is
-/// memory-tight (1 MiB KV budget per replica, prefix sharing on, no spill
-/// area) so evictions recompute prefills: scattering a tenant across
-/// replicas duplicates its prefix blocks into every pool it touches, which
-/// is exactly what prefix-affinity routing exists to avoid — pinned below
-/// as a *strict* restarted-token win over least-KV-loaded.
-#[test]
-fn golden_fleet_routing_point() {
-    const REPLICAS: usize = 16;
-    let system = EdgeMm::paper_default();
+/// `requests` background jobs at `rate` with long text prompts (512-768
+/// tokens on top of the image).
+fn long_background(requests: usize, rate: f64, seed: u64) -> Vec<ServeRequest> {
+    TraceConfig {
+        text_tokens: (512, 768),
+        ..TraceConfig::background(requests, rate, seed)
+    }
+    .generate()
+}
+
+/// The golden fleet routing point: six tenants at 48/s plus long-prompt
+/// background (104 requests), served per replica with paged KV and prefix
+/// sharing but *no* spill area, so evictions fall back to re-prefill and
+/// restarted tokens measure real cross-replica waste.
+fn fleet_routing_point() -> (Vec<ServeRequest>, ServeOptions) {
     let trace = merge(&[
         TraceConfig::multi_tenant(6, 96, 48.0, 23).generate(),
-        TraceConfig {
-            text_tokens: (512, 768),
-            ..TraceConfig::background(8, 12.0, 123)
-        }
-        .generate(),
+        long_background(8, 12.0, 123),
     ]);
-    // Paged + shared prefixes but *no* spill area: evictions fall back to
-    // re-prefill, so restarted tokens measure real cross-replica waste.
     let options = ServeOptions {
         prefix_sharing: true,
         ..ServeOptions::memory_aware(Bytes::new(8 << 20), 64).paged(16)
     };
+    (trace, options)
+}
+
+/// Ten same-instant arrivals from three tenants, then Poisson traffic (18
+/// requests), on a 256 KiB paged pool with sharing and spill: routing at
+/// an instant must see the work the same instant's earlier arrivals
+/// already started (the replay rule of `ServeEngine::push`).
+fn fleet_burst() -> (Vec<ServeRequest>, ServeOptions) {
+    let trace = merge(&[
+        TraceConfig::multi_tenant(3, 10, f64::INFINITY, 7).generate(),
+        TraceConfig::interactive(8, 40.0, 9).generate(),
+    ]);
+    let options = ServeOptions::memory_aware(Bytes::new(256 << 10), 32)
+        .paged(16)
+        .shared_prefixes(Bytes::new(8 << 20));
+    (trace, options)
+}
+
+/// A 16-replica multi-tenant overload point through the fleet gateway: the
+/// per-policy SLO attainments, restarted-prefill totals and load imbalance
+/// pin the whole routing stack — event interleaving, load projection and
+/// every built-in `RoutePolicy` — to six significant figures. The point is
+/// memory-tight ([`fleet_routing_point`]: 8 MiB KV budget per replica,
+/// prefix sharing on, no spill area) so evictions recompute prefills:
+/// scattering a tenant across replicas duplicates its prefix blocks into
+/// every pool it touches, which is exactly what prefix-affinity routing
+/// exists to avoid — pinned below as a *strict* restarted-token win over
+/// least-KV-loaded.
+#[test]
+fn golden_fleet_routing_point() {
+    const REPLICAS: usize = 16;
+    let system = EdgeMm::paper_default();
+    let (trace, options) = fleet_routing_point();
     let reports: Vec<(RoutingKind, FleetReport)> = RoutingKind::ALL
         .iter()
         .map(|&kind| {
@@ -772,35 +802,15 @@ fn fleet_digest(report: &FleetReport) -> u64 {
 ///
 /// * the `golden_fleet_routing_point` setup (16 replicas, all four
 ///   policies);
-/// * a burst of ten same-instant arrivals followed by Poisson traffic over
-///   3 replicas, where routing at an instant must see the work the same
-///   instant's earlier arrivals already started (the replay rule of
-///   `ServeScratch::push`);
+/// * the same-instant burst of [`fleet_burst`] over 3 replicas;
 /// * the benchmark's `fleet_route` trace at seed 23 under least-KV over 16
 ///   replicas (433 requests).
 #[test]
 fn golden_fleet_report_digests() {
     let system = EdgeMm::paper_default();
     let model = zoo::sphinx_tiny();
-    let long_background = |requests: usize, rate: f64, seed: u64| {
-        TraceConfig {
-            text_tokens: (512, 768),
-            ..TraceConfig::background(requests, rate, seed)
-        }
-        .generate()
-    };
-    let routing_point = merge(&[
-        TraceConfig::multi_tenant(6, 96, 48.0, 23).generate(),
-        long_background(8, 12.0, 123),
-    ]);
-    let routing_options = ServeOptions {
-        prefix_sharing: true,
-        ..ServeOptions::memory_aware(Bytes::new(8 << 20), 64).paged(16)
-    };
-    let burst = merge(&[
-        TraceConfig::multi_tenant(3, 10, f64::INFINITY, 7).generate(),
-        TraceConfig::interactive(8, 40.0, 9).generate(),
-    ]);
+    let (routing_point, routing_options) = fleet_routing_point();
+    let (burst, burst_options) = fleet_burst();
     assert_eq!(burst.len(), 18);
     assert_eq!(
         burst
@@ -809,9 +819,6 @@ fn golden_fleet_report_digests() {
             .count(),
         10
     );
-    let burst_options = ServeOptions::memory_aware(Bytes::new(256 << 10), 32)
-        .paged(16)
-        .shared_prefixes(Bytes::new(8 << 20));
     let bench_trace = merge(&[
         TraceConfig::multi_tenant(6, 400, 48.0, 23).generate(),
         long_background(400 / 12, 12.0, 123),
@@ -965,32 +972,71 @@ fn golden_serve_report_digests() {
     }
 }
 
-/// Serve work at the benchmark's points `T(N, rate, 23)` on its serve
-/// stack (EDF + Defer, 8 MiB paged/16, shared prefixes, 128 MiB spill),
-/// pinned exactly: counts are the same on every host. The overload points
-/// (48/s) pin CC dispatch under deep queues, the light one (2/s, the
-/// `serve_light` trace) a run that mostly idles between arrivals. Each
-/// point runs from a fresh session twice, keyed and through [`Unkeyed`],
-/// which hides EDF's key so the engine scans. Both runs must serve the
-/// same report with the same events, completions, DMA transfers,
-/// dispatches, picks, refusals and forced picks; the keyed run visits one
-/// key per pick (its refusals plus the chunk it starts), while the scan
-/// offers the policy the whole rest of the queue after every refusal.
+/// A [`ServeCounters`] from its fields in declaration order, the order
+/// its `Debug` output prints them in.
+fn serve_counters(fields: [u64; 11]) -> ServeCounters {
+    ServeCounters {
+        events: fields[0],
+        chunk_completions: fields[1],
+        step_completions: fields[2],
+        dma_transfers: fields[3],
+        cc_dispatches: fields[4],
+        cc_picks: fields[5],
+        cc_candidates: fields[6],
+        gate_refusals: fields[7],
+        forced_picks: fields[8],
+        join_picks: fields[9],
+        join_candidates: fields[10],
+    }
+}
+
+/// Serve and fleet work, pinned exactly: counts are the same on every
+/// host, so a pin catches an algorithmic regression that wall time (which
+/// perfbench measures) can only hint at. Every run also counts one event
+/// per queue sample, one completion per decode step and one key per CC
+/// pick (all built-in policies are keyed).
+///
+/// * The benchmark's points `T(N, rate, 23)` on its serve stack (EDF +
+///   Defer, 8 MiB paged/16, shared prefixes, 128 MiB spill). The overload
+///   points (48/s) pin CC dispatch under deep queues, the light one (2/s,
+///   the `serve_light` trace) a run that mostly idles between arrivals.
+///   Each point runs from a fresh session twice, keyed and through
+///   [`Unkeyed`], which hides EDF's key so the engine scans. Both runs
+///   must serve the same report with the same work but for
+///   `cc_candidates`: the keyed run visits one key per pick (its refusals
+///   plus the chunk it starts), while the scan offers the policy the whole
+///   rest of the queue after every refusal.
+/// * Three serve points from a fresh session: the multi-tenant sharing
+///   point, the paged-eviction point and a plain batching point.
+/// * The fleet routing point and the same-instant burst under every
+///   routing policy: the replicas' summed counters and the replays, which
+///   only the burst makes.
 #[test]
 fn golden_cc_dispatch_counters() {
     let system = EdgeMm::paper_default();
     let model = zoo::sphinx_tiny();
+    let consistent = |label: &str, counters: ServeCounters, reports: &[ServeReport]| {
+        let samples: usize = reports.iter().map(|r| r.queue_samples.len()).sum();
+        // lint:allow(unit-cast): a dimensionless count
+        let samples = samples as u64;
+        assert_eq!(counters.events, samples, "{label}: one sample per event");
+        let steps: u64 = reports.iter().map(|r| r.decode_steps).sum();
+        assert_eq!(
+            counters.step_completions, steps,
+            "{label}: every started step completes"
+        );
+        assert_eq!(
+            counters.cc_candidates, counters.cc_picks,
+            "{label}: one key per pick"
+        );
+    };
     let options = ServeOptions::memory_aware(Bytes::new(8 << 20), 64)
         .paged(16)
         .shared_prefixes(Bytes::new(128 << 20));
     let bench_trace = |requests: usize, rate: f64| {
         merge(&[
             TraceConfig::multi_tenant(6, requests, rate, 23).generate(),
-            TraceConfig {
-                text_tokens: (512, 768),
-                ..TraceConfig::background(requests / 12, rate / 4.0, 123)
-            }
-            .generate(),
+            long_background(requests / 12, rate / 4.0, 123),
         ])
     };
     // Per point `T(N, rate)`: the keyed run's counters, and the candidates
@@ -999,69 +1045,39 @@ fn golden_cc_dispatch_counters() {
         (
             400,
             48.0,
-            ServeCounters {
-                events: 30_796,
-                chunk_completions: 3_759,
-                step_completions: 26_604,
-                dma_transfers: 910,
-                cc_dispatches: 3_759,
-                cc_picks: 3_759,
-                cc_candidates: 3_759,
-                gate_refusals: 0,
-                forced_picks: 0,
-            },
+            [
+                30_796, 3_759, 26_604, 910, 3_759, 3_759, 3_759, 0, 0, 25_120, 139_475,
+            ],
             585_083,
         ),
         (
             800,
             48.0,
-            ServeCounters {
-                events: 61_209,
-                chunk_completions: 7_552,
-                step_completions: 52_791,
-                dma_transfers: 1_759,
-                cc_dispatches: 8_223,
-                cc_picks: 32_960,
-                cc_candidates: 32_960,
-                gate_refusals: 25_408,
-                forced_picks: 0,
-            },
+            [
+                61_209, 7_552, 52_791, 1_759, 8_223, 32_960, 32_960, 25_408, 0, 43_491, 236_456,
+            ],
             7_694_042,
         ),
         (
             1600,
             48.0,
-            ServeCounters {
-                events: 123_167,
-                chunk_completions: 15_127,
-                step_completions: 106_307,
-                dma_transfers: 3_422,
-                cc_dispatches: 18_387,
-                cc_picks: 169_598,
-                cc_candidates: 169_598,
-                gate_refusals: 154_471,
-                forced_picks: 0,
-            },
+            [
+                123_167, 15_127, 106_307, 3_422, 18_387, 169_598, 169_598, 154_471, 0, 79_385,
+                369_663,
+            ],
             14_237_421,
         ),
         (
             1600,
             2.0,
-            ServeCounters {
-                events: 123_267,
-                chunk_completions: 15_227,
-                step_completions: 106_307,
-                dma_transfers: 3_019,
-                cc_dispatches: 15_382,
-                cc_picks: 15_800,
-                cc_candidates: 15_800,
-                gate_refusals: 573,
-                forced_picks: 0,
-            },
+            [
+                123_267, 15_227, 106_307, 3_019, 15_382, 15_800, 15_800, 573, 0, 59_257, 320_424,
+            ],
             33_993,
         ),
     ];
     for (requests, rate, counters, scanned) in points {
+        let label = format!("T({requests}, {rate})");
         let trace = bench_trace(requests, rate);
         let mut session = system.serve_session(&model, options);
         let report = session.serve(&trace);
@@ -1073,12 +1089,12 @@ fn golden_cc_dispatch_counters() {
             .run_with_scratch(&trace, &edf, &mut scratch);
         let scan = scratch.counters();
         if probing() {
-            println!("cc_counters.T({requests}, {rate}) keyed {keyed:?}\n  scan {scan:?}");
+            println!("counters.{label} keyed {keyed:?}\n  scan {scan:?}");
             continue;
         }
         assert_eq!(
             scan_report, report,
-            "T({requests}, {rate}): scan and keyed reports differ"
+            "{label}: scan and keyed reports differ"
         );
         let work = |c: ServeCounters| ServeCounters {
             cc_candidates: 0,
@@ -1087,27 +1103,119 @@ fn golden_cc_dispatch_counters() {
         assert_eq!(
             work(scan),
             work(keyed),
-            "T({requests}, {rate}): scan and keyed work differ"
+            "{label}: scan and keyed work differ"
         );
         assert_eq!(
-            keyed, counters,
-            "T({requests}, {rate}): keyed counters drifted"
+            keyed,
+            serve_counters(counters),
+            "{label}: keyed counters drifted"
         );
-        // One key per pick: its refusals, plus the chunk starts.
-        assert_eq!(keyed.cc_candidates, keyed.cc_picks);
-        // lint:allow(unit-cast): a dimensionless count
-        let samples = report.queue_samples.len() as u64;
-        assert_eq!(
-            keyed.events, samples,
-            "T({requests}, {rate}): one sample per event"
-        );
-        assert_eq!(
-            keyed.step_completions, report.decode_steps,
-            "T({requests}, {rate}): every started step completes"
-        );
+        consistent(&label, keyed, std::slice::from_ref(&report));
         assert_eq!(
             scan.cc_candidates, scanned,
-            "T({requests}, {rate}): scan candidates drifted"
+            "{label}: scan candidates drifted"
         );
+    }
+
+    let serve_points = [
+        (
+            "multi_tenant_sharing",
+            merge(&[
+                TraceConfig::multi_tenant(3, 24, 8.0, 19).generate(),
+                long_background(4, 3.0, 119),
+            ]),
+            options,
+            [1_987, 270, 1_689, 59, 270, 270, 270, 0, 0, 845, 949],
+        ),
+        (
+            "paged_eviction",
+            merge(&[
+                TraceConfig::interactive(24, 12.0, 11).generate(),
+                long_background(8, 3.0, 12),
+            ]),
+            ServeOptions::memory_aware(Bytes::new(8 << 20), 320).paged(16),
+            [2_137, 102, 2_003, 0, 102, 102, 102, 0, 0, 1_646, 6_670],
+        ),
+        (
+            "plain_batching",
+            TraceConfig::interactive(32, 16.0, 11).generate(),
+            ServeOptions {
+                batch_cap: Some(8),
+                ..ServeOptions::with_pruning()
+            },
+            [469, 32, 405, 0, 32, 32, 32, 0, 0, 32, 32],
+        ),
+    ];
+    for (label, trace, options, golden) in serve_points {
+        let mut session = system.serve_session(&model, options);
+        let report = session.serve(&trace);
+        let counters = session.counters();
+        if probing() {
+            println!("counters.{label} {counters:?}");
+            continue;
+        }
+        assert_eq!(
+            counters,
+            serve_counters(golden),
+            "{label}: counters drifted"
+        );
+        consistent(label, counters, std::slice::from_ref(&report));
+    }
+
+    // Per point and routing policy: the summed serve counters, and the
+    // replays.
+    let fleet_points = [
+        (
+            "routing_point",
+            fleet_routing_point(),
+            16,
+            [
+                (
+                    [7_302, 921, 6_277, 18, 921, 921, 921, 0, 0, 1_703, 1_729],
+                    0,
+                ),
+                (
+                    [
+                        7_391, 1_010, 6_277, 12, 1_010, 1_010, 1_010, 0, 0, 1_548, 1_738,
+                    ],
+                    0,
+                ),
+                (
+                    [7_398, 1_017, 6_277, 17, 1_017, 1_017, 1_017, 0, 0, 844, 891],
+                    0,
+                ),
+                (
+                    [7_287, 906, 6_277, 90, 906, 906, 906, 0, 0, 3_318, 5_923],
+                    0,
+                ),
+            ],
+        ),
+        (
+            "burst",
+            fleet_burst(),
+            3,
+            [
+                ([1_314, 250, 1_053, 23, 250, 250, 250, 0, 0, 69, 69], 7),
+                ([1_314, 250, 1_053, 24, 250, 250, 250, 0, 0, 60, 60], 7),
+                ([1_314, 250, 1_053, 26, 250, 250, 250, 0, 0, 27, 27], 7),
+                ([1_314, 250, 1_053, 26, 250, 250, 250, 0, 0, 54, 54], 7),
+            ],
+        ),
+    ];
+    for (name, (trace, options), replicas, goldens) in fleet_points {
+        for (kind, (serve, replays)) in RoutingKind::ALL.into_iter().zip(goldens) {
+            let label = format!("{name}.{}", kind.name());
+            let report = system.serve_fleet(&model, &trace, replicas, kind, options);
+            if probing() {
+                println!("counters.{label} {:?}", report.counters);
+                continue;
+            }
+            let golden = FleetCounters {
+                serve: serve_counters(serve),
+                replays,
+            };
+            assert_eq!(report.counters, golden, "{label}: counters drifted");
+            consistent(&label, report.counters.serve, &report.replicas);
+        }
     }
 }
