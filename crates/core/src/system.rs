@@ -526,6 +526,11 @@ impl EdgeMm {
     /// chips fronted by a few `homo_mc` decode specialists). Semantics
     /// otherwise match [`Self::serve_fleet`].
     ///
+    /// Replicas on the same system (the same `&EdgeMm`) serve through
+    /// clones of one simulator, so they share one pricing memo: a prefill
+    /// chunk, the vision setup and the decode step's shape are priced once
+    /// per system, not once per replica.
+    ///
     /// # Panics
     ///
     /// Panics if `systems` is empty or two requests share an id.
@@ -536,17 +541,23 @@ impl EdgeMm {
         routing: RoutingKind,
         options: ServeOptions,
     ) -> FleetReport {
+        let mut simulators: Vec<(&EdgeMm, ServeSimulator<'_>)> = Vec::new();
         let replicas: Vec<FleetReplica<'_>> = systems
             .iter()
-            .map(|system| {
-                FleetReplica::new(
-                    ServeSimulator::new(
-                        &system.machine,
-                        model.clone(),
-                        system.serving_config(model, options),
-                    ),
-                    options.policy,
-                )
+            .map(|&system| {
+                let shared = simulators
+                    .iter()
+                    .find(|(built, _)| std::ptr::eq(*built, system));
+                let simulator = match shared {
+                    Some((_, simulator)) => simulator.clone(),
+                    None => {
+                        let config = system.serving_config(model, options);
+                        let simulator = ServeSimulator::new(&system.machine, model.clone(), config);
+                        simulators.push((system, simulator.clone()));
+                        simulator
+                    }
+                };
+                FleetReplica::new(simulator, options.policy)
             })
             .collect();
         let mut routing = routing.policy(options.seed);

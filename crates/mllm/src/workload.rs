@@ -305,6 +305,7 @@ impl ModelWorkload {
             weights_from_dram: from_dram,
             prunable,
         };
+        let (scores, aggregate) = self.layer_kv_ops(layer, phase, m, cached);
         vec![
             op(
                 format!("layer{layer}.attn.qkv"),
@@ -314,30 +315,8 @@ impl ModelWorkload {
                 true,
                 false,
             ),
-            // Attention score and value aggregation against the cached
-            // context; the stationary operand is the KV cache.
-            MatmulOp {
-                name: format!("layer{layer}.attn.scores"),
-                phase,
-                kind,
-                m,
-                k: d,
-                n: cached,
-                weight_class: TrafficClass::KvCache,
-                weights_from_dram: true,
-                prunable: false,
-            },
-            MatmulOp {
-                name: format!("layer{layer}.attn.context"),
-                phase,
-                kind,
-                m,
-                k: cached,
-                n: d,
-                weight_class: TrafficClass::KvCache,
-                weights_from_dram: true,
-                prunable: false,
-            },
+            scores,
+            aggregate,
             op(
                 format!("layer{layer}.attn.out"),
                 d,
@@ -373,6 +352,35 @@ impl ModelWorkload {
         ]
     }
 
+    /// The two KV-facing operators of one decoder layer, in stream order:
+    /// attention scores and value aggregation against the `cached` visible
+    /// tokens. The stationary operand is the KV cache.
+    fn layer_kv_ops(
+        &self,
+        layer: usize,
+        phase: Phase,
+        m: usize,
+        cached: usize,
+    ) -> (MatmulOp, MatmulOp) {
+        let d = self.config.llm.d_model;
+        let kind = if m == 1 { OpKind::Gemv } else { OpKind::Gemm };
+        let op = |name: String, k: usize, n: usize| MatmulOp {
+            name,
+            phase,
+            kind,
+            m,
+            k,
+            n,
+            weight_class: TrafficClass::KvCache,
+            weights_from_dram: true,
+            prunable: false,
+        };
+        (
+            op(format!("layer{layer}.attn.scores"), d, cached),
+            op(format!("layer{layer}.attn.context"), cached, d),
+        )
+    }
+
     /// Operators of the LLM prefill phase.
     pub fn prefill_ops(&self) -> Vec<MatmulOp> {
         let s = self.prompt_tokens();
@@ -398,6 +406,35 @@ impl ModelWorkload {
     /// Panics if the chunk is empty or `cached_tokens + chunk_tokens`
     /// exceeds the prompt length.
     pub fn prefill_chunk_ops(&self, cached_tokens: usize, chunk_tokens: usize) -> Vec<MatmulOp> {
+        self.check_chunk(cached_tokens, chunk_tokens);
+        let visible = cached_tokens + chunk_tokens;
+        (0..self.config.llm.layers)
+            .flat_map(|layer| self.decoder_layer_ops(layer, Phase::Prefill, chunk_tokens, visible))
+            .collect()
+    }
+
+    /// The operators one decoder layer (layer 0) runs in the prefill chunk
+    /// of [`Self::prefill_chunk_ops`]. Every layer runs the same shapes and
+    /// differs only in the operator names, so a cost model that ignores
+    /// names prices the whole chunk as this layer's cost times
+    /// `llm.layers`.
+    ///
+    /// # Panics
+    ///
+    /// Panics exactly when [`Self::prefill_chunk_ops`] does.
+    pub fn prefill_chunk_layer_ops(
+        &self,
+        cached_tokens: usize,
+        chunk_tokens: usize,
+    ) -> Vec<MatmulOp> {
+        self.check_chunk(cached_tokens, chunk_tokens);
+        let visible = cached_tokens + chunk_tokens;
+        self.decoder_layer_ops(0, Phase::Prefill, chunk_tokens, visible)
+    }
+
+    /// The bounds a prefill chunk must respect: at least one token, and
+    /// inside the prompt.
+    fn check_chunk(&self, cached_tokens: usize, chunk_tokens: usize) {
         assert!(
             chunk_tokens >= 1,
             "prefill chunk must cover at least one token"
@@ -408,10 +445,6 @@ impl ModelWorkload {
             cached_tokens + chunk_tokens,
             self.prompt_tokens()
         );
-        let visible = cached_tokens + chunk_tokens;
-        (0..self.config.llm.layers)
-            .flat_map(|layer| self.decoder_layer_ops(layer, Phase::Prefill, chunk_tokens, visible))
-            .collect()
     }
 
     /// Operators of one decode step when `past_tokens` tokens are cached.
@@ -425,18 +458,10 @@ impl ModelWorkload {
     /// aggregation, in stream order — of one decode step with `past_tokens`
     /// tokens cached. They are identical in every decoder layer except for
     /// the label, so this single pair (layer 0's) prices the KV side of a
-    /// whole step; it is carved from the same per-layer stream as
-    /// [`Self::decode_step_ops`], so the shapes can never drift apart.
+    /// whole step. [`Self::decode_step_ops`] builds every layer's pair with
+    /// the same helper, so the shapes can never drift apart.
     pub fn decode_kv_ops(&self, past_tokens: usize) -> (MatmulOp, MatmulOp) {
-        let mut kv_ops = self
-            .decoder_layer_ops(0, Phase::Decode, 1, past_tokens)
-            .into_iter()
-            .filter(|op| op.weight_class == TrafficClass::KvCache);
-        // lint:allow(no-unwrap): every decoder layer emits both KV ops
-        let scores = kv_ops.next().expect("attention scores op");
-        // lint:allow(no-unwrap): every decoder layer emits both KV ops
-        let aggregate = kv_ops.next().expect("attention context op");
-        (scores, aggregate)
+        self.layer_kv_ops(0, Phase::Decode, 1, past_tokens)
     }
 
     /// The "average" decode context length: prompt plus half the output.
@@ -677,6 +702,73 @@ mod tests {
     #[should_panic(expected = "at least one token")]
     fn empty_chunk_panics() {
         workload().prefill_chunk_ops(0, 0);
+    }
+
+    /// `op` with its name cleared: layers differ only in their names.
+    fn unnamed(op: &MatmulOp) -> MatmulOp {
+        MatmulOp {
+            name: String::new(),
+            ..op.clone()
+        }
+    }
+
+    #[test]
+    fn every_chunk_layer_runs_the_first_layers_ops() {
+        // The chunk stream is `layers` copies of one layer's shapes, and
+        // its first layer is exactly `prefill_chunk_layer_ops`.
+        for model in zoo::table1_models() {
+            let w = ModelWorkload::new(model, 20, 8);
+            let s = w.prompt_tokens();
+            for (cached, len) in [(0, s), (0, 1), (s / 2, s / 4), (s - 7, 7)] {
+                let layer = w.prefill_chunk_layer_ops(cached, len);
+                let chunk = w.prefill_chunk_ops(cached, len);
+                assert_eq!(chunk.len(), layer.len() * w.config().llm.layers);
+                assert_eq!(chunk[..layer.len()], layer[..]);
+                for ops in chunk.chunks(layer.len()) {
+                    let ops: Vec<MatmulOp> = ops.iter().map(unnamed).collect();
+                    let first: Vec<MatmulOp> = layer.iter().map(unnamed).collect();
+                    assert_eq!(ops, first, "{} chunk ({cached}, {len})", w.config().name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the")]
+    fn chunk_layer_past_the_prompt_panics() {
+        let w = workload();
+        let s = w.prompt_tokens();
+        w.prefill_chunk_layer_ops(s - 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one token")]
+    fn empty_chunk_layer_panics() {
+        workload().prefill_chunk_layer_ops(0, 0);
+    }
+
+    #[test]
+    fn decode_kv_ops_match_the_full_step_stream() {
+        // The pair is layer 0's two KV ops of the full step stream, name
+        // and all, and every other layer's pair differs only in its names.
+        for model in zoo::table1_models() {
+            let w = ModelWorkload::new(model, 20, 8);
+            for context in [1, 17, 4096] {
+                let (scores, aggregate) = w.decode_kv_ops(context);
+                let kv: Vec<MatmulOp> = w
+                    .decode_step_ops(context)
+                    .into_iter()
+                    .filter(|op| op.weight_class == TrafficClass::KvCache)
+                    .collect();
+                assert_eq!(kv.len(), 2 * w.config().llm.layers);
+                assert_eq!(kv[0], scores, "{} at {context}", w.config().name);
+                assert_eq!(kv[1], aggregate, "{} at {context}", w.config().name);
+                for pair in kv.chunks(2) {
+                    assert_eq!(unnamed(&pair[0]), unnamed(&scores));
+                    assert_eq!(unnamed(&pair[1]), unnamed(&aggregate));
+                }
+            }
+        }
     }
 
     #[test]

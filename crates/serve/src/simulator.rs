@@ -55,7 +55,7 @@
 
 use std::collections::HashMap;
 use std::iter;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use edgemm_arch::ClusterKind;
 use edgemm_core::float::is_one;
@@ -400,29 +400,27 @@ impl StepShape {
 struct DecodeMemo {
     /// [`StepShape::weight_cycles`], indexed by batch size.
     weight_cycles: Vec<Cycles>,
-    /// The score and aggregation costs at a cached context.
-    kv_costs: HashMap<usize, (OpCost, OpCost)>,
+    /// The score and aggregation operators' solo `(compute, DRAM)` cycles
+    /// at a cached context: all the step reads of their costs.
+    kv_costs: HashMap<usize, [(Cycles, Cycles); 2]>,
+    /// Contexts whose KV op pair had to be priced since the last clear.
+    kv_misses: u64,
 }
 
 impl DecodeMemo {
     fn clear(&mut self) {
         self.weight_cycles.clear();
         self.kv_costs.clear();
+        self.kv_misses = 0;
     }
 }
 
-/// The multi-request serving simulator over one machine and one model.
-#[derive(Debug)]
-pub struct ServeSimulator<'a> {
-    machine: &'a Machine,
-    model: MllmConfig,
-    config: ServeConfig,
-    /// KV bytes one cached token occupies (all layers, K and V) at the MC
-    /// weight precision — the unit the paged allocator sizes blocks in.
-    kv_bytes_per_token: BytesPerToken,
-    /// A zero-prompt workload over the served model, kept around so pricing
-    /// probes (e.g. the per-context KV op shapes) need not rebuild one.
-    probe: ModelWorkload,
+/// The pricing a simulator memoises for its whole lifetime, shared by its
+/// clones. Every entry is a function of the machine, the model and the
+/// pruning effect alone, which a clone copies, so the owner and its clones
+/// may fill and read one memo.
+#[derive(Debug, Default)]
+struct PricingMemo {
     /// Vision encode + projector cycles. The two phases never see the text
     /// prompt — their operators are fixed by the model alone — so the cost
     /// is priced once and shared by every admission.
@@ -435,6 +433,29 @@ pub struct ServeSimulator<'a> {
     /// The decode step's shape, priced once: it depends on the model and
     /// the pruning effect alone.
     step_shape: OnceLock<StepShape>,
+}
+
+/// The multi-request serving simulator over one machine and one model.
+///
+/// A clone serves under the same machine, model and configuration, and
+/// shares the original's pricing memo: the vision setup, prefill chunk and
+/// decode step-shape costs that one of them prices, the others read. Run
+/// state is never shared (it lives in a [`ServeScratch`]), so a clone
+/// serves exactly what the original would; the fleet gives every replica
+/// on one system a clone of one simulator.
+#[derive(Debug, Clone)]
+pub struct ServeSimulator<'a> {
+    machine: &'a Machine,
+    model: MllmConfig,
+    config: ServeConfig,
+    /// KV bytes one cached token occupies (all layers, K and V) at the MC
+    /// weight precision — the unit the paged allocator sizes blocks in.
+    kv_bytes_per_token: BytesPerToken,
+    /// A zero-prompt workload over the served model, kept around so pricing
+    /// probes (e.g. the per-context KV op shapes) need not rebuild one.
+    probe: ModelWorkload,
+    /// Setup, chunk and step-shape pricing, shared with every clone.
+    memo: Arc<PricingMemo>,
 }
 
 impl<'a> ServeSimulator<'a> {
@@ -481,9 +502,7 @@ impl<'a> ServeSimulator<'a> {
             config,
             kv_bytes_per_token,
             probe,
-            setup_cycles: OnceLock::new(),
-            chunk_cache: Mutex::new(HashMap::new()),
-            step_shape: OnceLock::new(),
+            memo: Arc::default(),
         }
     }
 
@@ -510,8 +529,8 @@ impl<'a> ServeSimulator<'a> {
         // Vision encode + projector always run ahead of the first prompt
         // chunk; they are unsplittable and folded into chunk 0. Their
         // operators are prompt-independent, so the cost is priced once per
-        // simulator.
-        let setup_cycles: Cycles = *self.setup_cycles.get_or_init(|| {
+        // simulator and its clones.
+        let setup_cycles: Cycles = *self.memo.setup_cycles.get_or_init(|| {
             [Phase::VisionEncode, Phase::Projector]
                 .iter()
                 .map(|&phase| {
@@ -599,26 +618,35 @@ impl<'a> ServeSimulator<'a> {
     /// projector — zero for an eviction re-prefill) folds into the first
     /// chunk, and every chunk is clamped to one cycle because a zero-cycle
     /// stage would stall the event loop (events must advance time).
+    ///
+    /// A chunk is priced from one decoder layer: every layer runs the same
+    /// shapes and `Machine`'s op costs ignore names, so the full stream's
+    /// cycles are the layer's times `llm.layers`, exactly (`Cycles` is an
+    /// integer).
     fn prefill_chunk_cycles(&self, workload: &ModelWorkload, setup_cycles: Cycles) -> Vec<Cycles> {
         let prompt = workload.prompt_tokens();
         let budget = self.config.chunk_tokens.unwrap_or(prompt).max(1);
         let mut chunks = Vec::with_capacity(prompt.div_ceil(budget).max(1));
         // A chunk's operators are fixed by `(cached, len)` alone, so the
         // full chunks of every prompt under one budget are priced once.
-        // lint:allow(no-unwrap): poisoning only follows a prior panic
-        let mut cache = self.chunk_cache.lock().expect("chunk cache poisoned");
+        let mut cache = self
+            .memo
+            .chunk_cache
+            .lock()
+            // lint:allow(no-unwrap): poisoning only follows a prior panic
+            .expect("chunk cache poisoned");
+        let layers = self.model.llm.layers;
         let mut cached = 0;
         while cached < prompt {
             let len = budget.min(prompt - cached);
             let chunk = *cache.entry((cached, len)).or_insert_with(|| {
-                self.machine
-                    .run_ops(
-                        Phase::Prefill,
-                        &workload.prefill_chunk_ops(cached, len),
-                        ClusterKind::ComputeCentric,
-                        PruningEffect::disabled(),
-                    )
-                    .cycles
+                let layer = self.machine.run_ops(
+                    Phase::Prefill,
+                    &workload.prefill_chunk_layer_ops(cached, len),
+                    ClusterKind::ComputeCentric,
+                    PruningEffect::disabled(),
+                );
+                layer.cycles * layers
             });
             let cycles = if cached == 0 {
                 setup_cycles + chunk
@@ -639,7 +667,7 @@ impl<'a> ServeSimulator<'a> {
     /// The decode step's shape, priced at context 1 (its weight-facing
     /// operators cost the same at any context).
     fn step_shape(&self) -> &StepShape {
-        self.step_shape.get_or_init(|| {
+        self.memo.step_shape.get_or_init(|| {
             let costs = self.machine.decode_step_costs_at(
                 &self.probe,
                 ClusterKind::MemoryCentric,
@@ -658,18 +686,19 @@ impl<'a> ServeSimulator<'a> {
         })
     }
 
-    /// Cost of the two KV-facing attention operators (score and context
-    /// aggregation) of one decode step with exactly `context` cached tokens.
-    /// The shapes depend only on the model and the context — not on the
-    /// layer or the request — so one pair serves every layer of every
-    /// stream.
-    fn kv_step_costs_at(&self, context: usize) -> (OpCost, OpCost) {
+    /// Solo `(compute, DRAM)` cycles of the two KV-facing attention
+    /// operators (score and context aggregation) of one decode step with
+    /// exactly `context` cached tokens. The shapes depend only on the model
+    /// and the context — not on the layer or the request — so one pair
+    /// serves every layer of every stream.
+    fn kv_step_costs_at(&self, context: usize) -> [(Cycles, Cycles); 2] {
         let (scores, aggregate) = self.probe.decode_kv_ops(context);
-        let kind = ClusterKind::MemoryCentric;
-        (
-            self.machine.op_cost(&scores, kind, self.config.pruning),
-            self.machine.op_cost(&aggregate, kind, self.config.pruning),
-        )
+        [scores, aggregate].map(|op| {
+            let cost = self
+                .machine
+                .op_cost(&op, ClusterKind::MemoryCentric, self.config.pruning);
+            (cost.compute_cycles, cost.dram_cycles)
+        })
     }
 
     /// Cycles of one stream-batched decode step over streams whose KV
@@ -701,14 +730,14 @@ impl<'a> ServeSimulator<'a> {
         let mut scores = (Cycles::ZERO, Cycles::ZERO);
         let mut aggregate = (Cycles::ZERO, Cycles::ZERO);
         for context in contexts {
-            let (s, a) = memo
-                .kv_costs
-                .entry(context)
-                .or_insert_with(|| self.kv_step_costs_at(context));
-            scores.0 += s.compute_cycles;
-            scores.1 += s.dram_cycles;
-            aggregate.0 += a.compute_cycles;
-            aggregate.1 += a.dram_cycles;
+            let [s, a] = memo.kv_costs.entry(context).or_insert_with(|| {
+                memo.kv_misses += 1;
+                self.kv_step_costs_at(context)
+            });
+            scores.0 += s.0;
+            scores.1 += s.1;
+            aggregate.0 += a.0;
+            aggregate.1 += a.1;
         }
         let kv_term = |(compute, dram): (Cycles, Cycles)| {
             // Exact integer path when the pool is neutral, so the unbounded
@@ -1673,6 +1702,105 @@ mod tests {
         }
     }
 
+    /// The CC stage's chunk list for `workload` from the full operator
+    /// stream: `Machine::prefill_chunk_costs` (no budget is one chunk),
+    /// `setup` folded into chunk 0, every chunk clamped to one cycle.
+    fn oracle_chunks(
+        m: &Machine,
+        workload: &ModelWorkload,
+        budget: Option<usize>,
+        setup: Cycles,
+    ) -> Vec<Cycles> {
+        let kind = ClusterKind::ComputeCentric;
+        let chunks = m.prefill_chunk_costs(workload, kind, budget.unwrap_or(usize::MAX));
+        chunks
+            .iter()
+            .enumerate()
+            .map(|(i, chunk)| {
+                let setup = if i == 0 { setup } else { Cycles::ZERO };
+                (setup + chunk.cycles).max(Cycles::new(1))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn chunk_pricing_matches_the_full_stream_oracle() {
+        // The engine prices a chunk from one decoder layer; the oracle
+        // walks every layer's operators. The reference engine shares
+        // `admit`, so only this test would catch a wrong layer multiplier.
+        let m = machine();
+        let options = DecodeOptions::baseline();
+        for model in zoo::table1_models() {
+            let setup: Cycles = [Phase::VisionEncode, Phase::Projector]
+                .iter()
+                .map(|&phase| {
+                    let workload = ModelWorkload::new(model.clone(), 0, 1);
+                    m.run_phase_on(&workload, phase, ClusterKind::ComputeCentric, options)
+                        .cycles
+                })
+                .sum();
+            for budget in [Some(1), Some(7), Some(64), None] {
+                let mut config = ServeConfig::new();
+                config.chunk_tokens = budget;
+                let sim = ServeSimulator::new(&m, model.clone(), config);
+                let mut memo = DecodeMemo::default();
+                let label = format!("{} at budget {budget:?}", model.name);
+                // Cold, then warm: the second admission of each prompt
+                // reads every chunk from the memo.
+                for pass in ["cold", "warm"] {
+                    for (text, output) in [(0, 1), (13, 9), (40, 4)] {
+                        let request = ServeRequest::new(0, 0.0, text, output);
+                        let state = sim.admit(&request, &mut memo);
+                        let workload = ModelWorkload::new(model.clone(), text, output);
+                        let expected = oracle_chunks(&m, &workload, budget, setup);
+                        assert_eq!(state.chunk_cycles, expected, "{label}, {pass}, {text}");
+                        let total: Cycles = expected.iter().copied().sum();
+                        assert_eq!(state.prefill_cycles, total, "{label}, {pass}, {text}");
+                    }
+                }
+                // An eviction re-prefills the prompt and the generated
+                // tokens, without the setup.
+                let request = ServeRequest::new(0, 0.0, 13, 9);
+                let mut state = sim.admit(&request, &mut memo);
+                state.generated = 5;
+                state.remaining_tokens = 4;
+                sim.requeue_for_reprefill(&mut state);
+                let workload = ModelWorkload::new(model.clone(), 13 + 5, 4);
+                let expected = oracle_chunks(&m, &workload, budget, Cycles::ZERO);
+                assert_eq!(state.chunk_cycles, expected, "{label}, re-prefill");
+                assert_eq!(
+                    state.remaining_prefill_cycles,
+                    expected.iter().copied().sum::<Cycles>(),
+                    "{label}, re-prefill"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_clone_shares_the_pricing_memo_and_a_new_simulator_does_not() {
+        let m = machine();
+        let config = ServeConfig::with_batch_cap(4).with_chunk_tokens(64);
+        let sim = ServeSimulator::new(&m, zoo::sphinx_tiny(), config);
+        let clone = sim.clone();
+        let trace = TraceConfig::interactive(8, 40.0, 3).generate();
+        let served = clone.run(&trace, &Fcfs);
+        let entries = |sim: &ServeSimulator<'_>| {
+            // lint:allow(no-unwrap): poisoning only follows a prior panic
+            let cache = sim.memo.chunk_cache.lock().expect("chunk cache poisoned");
+            cache.len()
+        };
+        let priced = entries(&sim);
+        assert!(priced > 0, "the clone priced nothing into the shared memo");
+        assert!(sim.memo.setup_cycles.get().is_some());
+        assert!(sim.memo.step_shape.get().is_some());
+        assert_eq!(sim.run(&trace, &Fcfs), served);
+        assert_eq!(entries(&sim), priced, "the original re-priced a chunk");
+        let fresh = ServeSimulator::new(&m, zoo::sphinx_tiny(), config);
+        assert_eq!(entries(&fresh), 0);
+        assert_eq!(fresh.run(&trace, &Fcfs), served);
+    }
+
     #[test]
     fn continuous_batching_backfills_the_batch() {
         // With more requests than the cap, finished streams must be replaced
@@ -2373,6 +2501,24 @@ mod tests {
             ServeRequest::new(5, 0.1, 8, 4),
         ];
         sim.run(&requests, &Fcfs);
+    }
+
+    #[test]
+    fn a_duplicated_id_panics_before_any_event_is_processed() {
+        let m = machine();
+        let sim = simulator(&m, 2);
+        let mut trace = TraceConfig::interactive(6, 40.0, 3).generate();
+        trace[4].id = trace[1].id;
+        let mut scratch = ServeScratch::new();
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_with_scratch(&trace, &Fcfs, &mut scratch)
+        }));
+        let Err(panic) = served else {
+            panic!("a duplicated id was served");
+        };
+        let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("request ids must be unique"), "{message}");
+        assert_eq!(scratch.counters().events, 0);
     }
 
     #[test]

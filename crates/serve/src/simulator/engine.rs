@@ -12,10 +12,11 @@ use crate::request::ServeRequest;
 use crate::slo::AdmissionControl;
 
 /// Deterministic work counts of one serve run: its events and DMA
-/// transfers, and the work of its CC dispatch and decode joins. They are
-/// the same on every host, so tests can pin them where wall time can only
-/// inform. Read them with [`ServeScratch::counters`] after a run; a fleet
-/// run sums its replicas' counts.
+/// transfers, the work of its CC dispatch and decode joins, and its
+/// decode-memo misses. They are the same on every host, so tests can pin
+/// them where wall time can only inform. Read them with
+/// [`ServeScratch::counters`] after a run; a fleet run sums its replicas'
+/// counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeCounters {
     /// Cycles processed: one per [`QueueSample`], whatever happened at it.
@@ -48,6 +49,15 @@ pub struct ServeCounters {
     pub join_picks: u64,
     /// Ready-set entries offered across those calls.
     pub join_candidates: u64,
+    /// Decode-memo misses: the cached contexts whose KV operator pair the
+    /// run had to price (for an admission's solo step or an engine step).
+    /// The memo lives in the [`ServeScratch`] and is cleared at every
+    /// reset or replay, so a run counts what a one-shot serve of its
+    /// requests counts. The prefill chunk memo has no such count: it
+    /// outlives runs and is shared by a simulator's clones, so its misses
+    /// would depend on what was served before, and the same serve would
+    /// count differently.
+    pub kv_misses: u64,
 }
 
 impl std::iter::Sum for ServeCounters {
@@ -65,6 +75,7 @@ impl std::iter::Sum for ServeCounters {
             forced_picks: a.forced_picks + b.forced_picks,
             join_picks: a.join_picks + b.join_picks,
             join_candidates: a.join_candidates + b.join_candidates,
+            kv_misses: a.kv_misses + b.kv_misses,
         })
     }
 }
@@ -383,7 +394,10 @@ impl ServeScratch {
     /// engine counts the replay only, so a run counts the same however its
     /// requests were pushed).
     pub fn counters(&self) -> ServeCounters {
-        self.counters
+        ServeCounters {
+            kv_misses: self.decode_memo.kv_misses,
+            ..self.counters
+        }
     }
 
     /// Clear every piece of run state for a fresh run of `simulator`.
@@ -568,8 +582,14 @@ impl ServeEngine<'_, '_> {
     ///
     /// # Panics
     ///
-    /// Panics if two pushed requests share an id.
+    /// Panics if two pushed requests share an id, before processing any
+    /// remaining event (a one-shot run processes none).
     pub fn finish(mut self) -> ServeReport {
+        let s = &*self.scratch;
+        let mut ids: Vec<u64> = s.states.iter().map(|state| state.request.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), s.states.len(), "request ids must be unique");
         self.schedule_arrivals();
         while let Some(now) = self.next_cycle() {
             self.process(now);
@@ -581,10 +601,6 @@ impl ServeEngine<'_, '_> {
         // `run_with_scratch` sizes the queue afresh.
         debug_assert!(s.cc_queue.is_empty());
         s.cc_queue = CcQueue::default();
-        let mut ids: Vec<u64> = s.states.iter().map(|state| state.request.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), s.states.len(), "request ids must be unique");
         s.samples_hint = s.queue_samples.len();
         self.simulator.assemble_report(
             &s.states,

@@ -974,7 +974,7 @@ fn golden_serve_report_digests() {
 
 /// A [`ServeCounters`] from its fields in declaration order, the order
 /// its `Debug` output prints them in.
-fn serve_counters(fields: [u64; 11]) -> ServeCounters {
+fn serve_counters(fields: [u64; 12]) -> ServeCounters {
     ServeCounters {
         events: fields[0],
         chunk_completions: fields[1],
@@ -987,6 +987,7 @@ fn serve_counters(fields: [u64; 11]) -> ServeCounters {
         forced_picks: fields[8],
         join_picks: fields[9],
         join_candidates: fields[10],
+        kv_misses: fields[11],
     }
 }
 
@@ -994,7 +995,9 @@ fn serve_counters(fields: [u64; 11]) -> ServeCounters {
 /// host, so a pin catches an algorithmic regression that wall time (which
 /// perfbench measures) can only hint at. Every run also counts one event
 /// per queue sample, one completion per decode step and one key per CC
-/// pick (all built-in policies are keyed).
+/// pick (all built-in policies are keyed). `kv_misses`, the last field,
+/// counts the contexts whose KV op pair a run's decode memo priced: a
+/// memo cleared before every step would re-price them and fail the pins.
 ///
 /// * The benchmark's points `T(N, rate, 23)` on its serve stack (EDF +
 ///   Defer, 8 MiB paged/16, shared prefixes, 128 MiB spill). The overload
@@ -1046,7 +1049,7 @@ fn golden_cc_dispatch_counters() {
             400,
             48.0,
             [
-                30_796, 3_759, 26_604, 910, 3_759, 3_759, 3_759, 0, 0, 25_120, 139_475,
+                30_796, 3_759, 26_604, 910, 3_759, 3_759, 3_759, 0, 0, 25_120, 139_475, 640,
             ],
             585_083,
         ),
@@ -1055,6 +1058,7 @@ fn golden_cc_dispatch_counters() {
             48.0,
             [
                 61_209, 7_552, 52_791, 1_759, 8_223, 32_960, 32_960, 25_408, 0, 43_491, 236_456,
+                644,
             ],
             7_694_042,
         ),
@@ -1063,7 +1067,7 @@ fn golden_cc_dispatch_counters() {
             48.0,
             [
                 123_167, 15_127, 106_307, 3_422, 18_387, 169_598, 169_598, 154_471, 0, 79_385,
-                369_663,
+                369_663, 648,
             ],
             14_237_421,
         ),
@@ -1072,6 +1076,7 @@ fn golden_cc_dispatch_counters() {
             2.0,
             [
                 123_267, 15_227, 106_307, 3_019, 15_382, 15_800, 15_800, 573, 0, 59_257, 320_424,
+                648,
             ],
             33_993,
         ),
@@ -1125,7 +1130,7 @@ fn golden_cc_dispatch_counters() {
                 long_background(4, 3.0, 119),
             ]),
             options,
-            [1_987, 270, 1_689, 59, 270, 270, 270, 0, 0, 845, 949],
+            [1_987, 270, 1_689, 59, 270, 270, 270, 0, 0, 845, 949, 371],
         ),
         (
             "paged_eviction",
@@ -1134,7 +1139,7 @@ fn golden_cc_dispatch_counters() {
                 long_background(8, 3.0, 12),
             ]),
             ServeOptions::memory_aware(Bytes::new(8 << 20), 320).paged(16),
-            [2_137, 102, 2_003, 0, 102, 102, 102, 0, 0, 1_646, 6_670],
+            [2_137, 102, 2_003, 0, 102, 102, 102, 0, 0, 1_646, 6_670, 532],
         ),
         (
             "plain_batching",
@@ -1143,7 +1148,7 @@ fn golden_cc_dispatch_counters() {
                 batch_cap: Some(8),
                 ..ServeOptions::with_pruning()
             },
-            [469, 32, 405, 0, 32, 32, 32, 0, 0, 32, 32],
+            [469, 32, 405, 0, 32, 32, 32, 0, 0, 32, 32, 26],
         ),
     ];
     for (label, trace, options, golden) in serve_points {
@@ -1171,21 +1176,27 @@ fn golden_cc_dispatch_counters() {
             16,
             [
                 (
-                    [7_302, 921, 6_277, 18, 921, 921, 921, 0, 0, 1_703, 1_729],
-                    0,
-                ),
-                (
                     [
-                        7_391, 1_010, 6_277, 12, 1_010, 1_010, 1_010, 0, 0, 1_548, 1_738,
+                        7_302, 921, 6_277, 18, 921, 921, 921, 0, 0, 1_703, 1_729, 3_049,
                     ],
                     0,
                 ),
                 (
-                    [7_398, 1_017, 6_277, 17, 1_017, 1_017, 1_017, 0, 0, 844, 891],
+                    [
+                        7_391, 1_010, 6_277, 12, 1_010, 1_010, 1_010, 0, 0, 1_548, 1_738, 3_160,
+                    ],
                     0,
                 ),
                 (
-                    [7_287, 906, 6_277, 90, 906, 906, 906, 0, 0, 3_318, 5_923],
+                    [
+                        7_398, 1_017, 6_277, 17, 1_017, 1_017, 1_017, 0, 0, 844, 891, 2_890,
+                    ],
+                    0,
+                ),
+                (
+                    [
+                        7_287, 906, 6_277, 90, 906, 906, 906, 0, 0, 3_318, 5_923, 1_628,
+                    ],
                     0,
                 ),
             ],
@@ -1195,10 +1206,10 @@ fn golden_cc_dispatch_counters() {
             fleet_burst(),
             3,
             [
-                ([1_314, 250, 1_053, 23, 250, 250, 250, 0, 0, 69, 69], 7),
-                ([1_314, 250, 1_053, 24, 250, 250, 250, 0, 0, 60, 60], 7),
-                ([1_314, 250, 1_053, 26, 250, 250, 250, 0, 0, 27, 27], 7),
-                ([1_314, 250, 1_053, 26, 250, 250, 250, 0, 0, 54, 54], 7),
+                ([1_314, 250, 1_053, 23, 250, 250, 250, 0, 0, 69, 69, 534], 7),
+                ([1_314, 250, 1_053, 24, 250, 250, 250, 0, 0, 60, 60, 425], 7),
+                ([1_314, 250, 1_053, 26, 250, 250, 250, 0, 0, 27, 27, 459], 7),
+                ([1_314, 250, 1_053, 26, 250, 250, 250, 0, 0, 54, 54, 430], 7),
             ],
         ),
     ];

@@ -1081,6 +1081,51 @@ proptest! {
             }
         }
     }
+
+    /// The same on a heterogeneous rack, `[paper, homo-MC, paper,
+    /// homo-MC]`: every replica reports exactly what a one-shot serve of
+    /// its sub-trace on its *own* system reports. Replicas on one system
+    /// share one pricing memo; a memo shared across the two machines
+    /// would price some replica's chunks or steps on the wrong chip.
+    #[test]
+    fn heterogeneous_fleet_replicas_equal_one_shot_serves_on_their_own_systems(
+        burst in 1usize..6,
+        requests in 1usize..6,
+        rate in 1.0f64..200.0,
+        seed in 0u64..1000,
+    ) {
+        let paper = EdgeMm::paper_default();
+        let homo_mc = EdgeMm::homo_mc();
+        let systems = [&paper, &homo_mc, &paper, &homo_mc];
+        let model = tiny_model();
+        let trace = edgemm::serve::merge(&[
+            TraceConfig::multi_tenant(3, burst, f64::INFINITY, seed).generate(),
+            TraceConfig::interactive(requests, rate, seed + 1).generate(),
+        ]);
+        let options = ServeOptions::memory_aware(Bytes::new(256 << 10), 32)
+            .paged(16)
+            .shared_prefixes(Bytes::new(8 << 20));
+        let mut sessions = [
+            paper.serve_session(&model, options),
+            homo_mc.serve_session(&model, options),
+        ];
+        for kind in RoutingKind::ALL {
+            let fleet = EdgeMm::serve_fleet_on(&systems, &model, &trace, kind, options);
+            for (replica, report) in fleet.replicas.iter().enumerate() {
+                let subtrace: Vec<ServeRequest> = trace
+                    .iter()
+                    .zip(&fleet.assignments)
+                    .filter(|&(_, &target)| target == replica)
+                    .map(|(request, _)| *request)
+                    .collect();
+                let own = &mut sessions[replica % 2];
+                prop_assert_eq!(
+                    format!("{report:?}").into_bytes(),
+                    format!("{:?}", own.serve(&subtrace)).into_bytes()
+                );
+            }
+        }
+    }
 }
 
 /// The six serving preset families of `fleet_of_one_is_byte_identical_to_serve`
