@@ -51,14 +51,14 @@ pub mod figures;
 mod system;
 
 pub use system::{
-    EdgeMm, PruningMeasurement, RequestOptions, ServeOptions, ServeSession, SystemReport,
-    DEFAULT_SPILL_PENALTY,
+    EdgeMm, PruningMeasurement, RequestOptions, ServeOptions, SystemReport, DEFAULT_SPILL_PENALTY,
 };
 
 pub use edgemm_core::float;
 pub use edgemm_core::units;
 
 pub use edgemm_fleet::{FleetReport, RoutingKind};
+pub use edgemm_serve::ServeSession;
 
 pub use edgemm_arch as arch;
 pub use edgemm_baseline as baseline;

@@ -5,13 +5,13 @@ use std::sync::Mutex;
 
 use edgemm_arch::PowerModel;
 use edgemm_core::units::Bytes;
-use edgemm_fleet::{FleetGateway, FleetReplica, FleetReport, RoutingKind};
+use edgemm_fleet::{FleetGateway, FleetReport, RoutingKind};
 use edgemm_mllm::{ActivationGenerator, ActivationProfile, MllmConfig, ModelWorkload, Phase};
 use edgemm_pruning::{DynamicTopK, Pruner};
 use edgemm_sched::{Pipeline, RooflineStage};
 use edgemm_serve::{
-    AdmissionControl, PolicyKind, ServeConfig, ServeCounters, ServeReport, ServeRequest,
-    ServeScratch, ServeSimulator, TraceConfig,
+    AdmissionControl, PolicyKind, ServeConfig, ServeReport, ServeRequest, ServeSession,
+    ServeSimulator, TraceConfig,
 };
 use edgemm_sim::{DecodeOptions, Machine, PruningEffect, RunReport, SimConfig};
 
@@ -447,15 +447,9 @@ impl EdgeMm {
     /// removes rebuild overhead, never state isolation (pinned by the
     /// `session_reuse_is_byte_identical_to_one_shot_serves` property).
     pub fn serve_session(&self, model: &MllmConfig, options: ServeOptions) -> ServeSession<'_> {
-        ServeSession {
-            simulator: ServeSimulator::new(
-                &self.machine,
-                model.clone(),
-                self.serving_config(model, options),
-            ),
-            scratch: ServeScratch::new(),
-            policy: options.policy,
-        }
+        let config = self.serving_config(model, options);
+        let simulator = ServeSimulator::new(&self.machine, model.clone(), config);
+        ServeSession::new(simulator, options.policy)
     }
 
     /// The engine-level [`ServeConfig`] a serving run under `options` uses:
@@ -542,7 +536,7 @@ impl EdgeMm {
         options: ServeOptions,
     ) -> FleetReport {
         let mut simulators: Vec<(&EdgeMm, ServeSimulator<'_>)> = Vec::new();
-        let replicas: Vec<FleetReplica<'_>> = systems
+        let replicas: Vec<ServeSession<'_>> = systems
             .iter()
             .map(|&system| {
                 let shared = simulators
@@ -557,7 +551,7 @@ impl EdgeMm {
                         simulator
                     }
                 };
-                FleetReplica::new(simulator, options.policy)
+                ServeSession::new(simulator, options.policy)
             })
             .collect();
         let mut routing = routing.policy(options.seed);
@@ -614,42 +608,6 @@ impl EdgeMm {
 impl Default for EdgeMm {
     fn default() -> Self {
         Self::paper_default()
-    }
-}
-
-/// A reusable serving session from [`EdgeMm::serve_session`].
-///
-/// Bundles the configured [`ServeSimulator`] (whose chunk/step pricing
-/// caches persist across traces), a [`ServeScratch`] (whose collection
-/// capacities persist across traces) and the session's scheduling policy.
-/// Repeatedly timed serves — the bench's hot loop — go through a session
-/// so the host cores spend their cycles simulating instead of re-measuring
-/// pruning, re-pricing chunks and re-growing the same collections.
-#[derive(Debug)]
-pub struct ServeSession<'a> {
-    simulator: ServeSimulator<'a>,
-    scratch: ServeScratch,
-    policy: PolicyKind,
-}
-
-impl<'a> ServeSession<'a> {
-    /// Serve one trace; byte-identical to [`EdgeMm::serve`] with the
-    /// session's model and options.
-    pub fn serve(&mut self, requests: &[ServeRequest]) -> ServeReport {
-        self.simulator
-            .run_with_scratch(requests, self.policy.policy(), &mut self.scratch)
-    }
-
-    /// The work counters of the last [`Self::serve`] call
-    /// ([`ServeScratch::counters`]).
-    pub fn counters(&self) -> ServeCounters {
-        self.scratch.counters()
-    }
-
-    /// The session's simulator, for runs under another policy on exactly
-    /// the session's configuration.
-    pub fn simulator(&self) -> &ServeSimulator<'a> {
-        &self.simulator
     }
 }
 

@@ -1,18 +1,13 @@
-//! Deterministic discrete-event core for the serving simulator.
+//! A deterministic discrete-event queue: [`EventQueue`], a binary min-heap
+//! of `(Cycles, seq, E)` entries. `seq` is a per-queue insertion counter,
+//! so two events scheduled for the same cycle pop in the order they were
+//! pushed, which makes the pop order a pure function of the push sequence.
 //!
-//! The serve loop used to find "what happens next" by min-scanning every
-//! queue it owns (`order`, `cc_queue`, the decode batch) on every
-//! iteration. This crate replaces those scans with [`EventQueue`]: a
-//! binary min-heap of `(Cycles, seq, E)` entries. `seq` is a per-queue
-//! insertion counter, so two events scheduled for the same cycle pop in
-//! the order they were pushed. That makes the pop order a pure function of
-//! the push sequence — the property the differential harness in
-//! `tests/properties.rs` pins against the reference engine.
-//!
-//! The serve engine keeps only its pending arrivals here. Its at most one
-//! chunk completion and one step completion live in two slots beside the
-//! queue, so the heap holds no more than the trace's arrivals and a
-//! completion never pays a push or a pop.
+//! No workspace code uses it any more. The serve engine once kept its
+//! arrivals and completions here; it now keeps its pending arrivals as a
+//! sorted tail of its request table and its two completions in two slots.
+//! The crate stays for the repository benchmark, whose `event` probe
+//! times it.
 //!
 //! The queue deliberately knows nothing about what an event *is*: `E` needs
 //! no `Ord`, no `Hash`, nothing. Ordering lives entirely in the

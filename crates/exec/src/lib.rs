@@ -5,9 +5,9 @@
 //! arrives. This crate provides the one sanctioned way to use more than one
 //! host core:
 //!
-//! * [`Pool`] — a scoped thread pool built on [`std::thread::scope`]. The
-//!   pool owns no threads between calls; workers live exactly as long as the
-//!   call that spawned them, so there is no global state, no shutdown
+//! * [`Pool`] — a thread-count policy. The pool owns no threads between
+//!   calls; workers live exactly as long as the call that spawned them (a
+//!   [`std::thread::scope`]), so there is no global state, no shutdown
 //!   ordering, and nothing to leak across tests.
 //! * [`Pool::par_map`] — maps a function over a slice and returns the
 //!   results **in input order, regardless of completion order**. Workers
@@ -16,9 +16,7 @@
 //!   Panics are captured per item and re-raised after every worker has
 //!   drained; when several items panic, the one with the **smallest input
 //!   index** wins, so the observed failure is the same one a serial run
-//!   would hit first.
-//! * [`Pool::scope`] / [`TaskScope::spawn`] — structured fork/join for
-//!   heterogeneous tasks, with the same panic-at-[`Task::join`] contract.
+//!   would hit first. A `par_map` may run inside another's worker.
 //!
 //! # Determinism argument
 //!
@@ -43,17 +41,14 @@
 #![warn(missing_docs)]
 
 use std::any::Any;
-use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-/// The thread count [`Pool::from_env`] resolves to, for display/reporting.
-///
-/// Same policy as [`Pool::from_env`]: `EDGEMM_THREADS` if set to a positive
-/// integer, otherwise [`std::thread::available_parallelism`].
-pub fn threads_from_env() -> usize {
+/// The thread count [`Pool::from_env`] resolves to: `EDGEMM_THREADS` if set
+/// to a positive integer, otherwise [`std::thread::available_parallelism`].
+fn threads_from_env() -> usize {
     match std::env::var("EDGEMM_THREADS") {
         Ok(raw) => match raw.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n,
@@ -70,25 +65,13 @@ pub fn host_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps `f` over `items` with a pool configured from `EDGEMM_THREADS`.
-///
-/// Convenience for [`Pool::from_env`] + [`Pool::par_map`].
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    Pool::from_env().par_map(items, f)
-}
-
 /// A scoped thread pool with a fixed target thread count.
 ///
 /// The pool is just a thread-count policy: threads are spawned inside each
-/// [`Pool::par_map`] / [`Pool::scope`] call and joined before it returns.
-/// A pool with `threads() == 1` is a strict serial executor that never
-/// spawns — useful both as the `EDGEMM_THREADS=1` determinism baseline and
-/// for nesting (inner work can run serially inside outer workers).
+/// [`Pool::par_map`] call and joined before it returns. A pool with
+/// `threads() == 1` is a strict serial executor that never spawns — useful
+/// both as the `EDGEMM_THREADS=1` determinism baseline and for nesting
+/// (inner work can run serially inside outer workers).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
@@ -205,107 +188,11 @@ impl Pool {
         }
         results
     }
-
-    /// Runs `f` with a [`TaskScope`] for structured fork/join.
-    ///
-    /// On a serial pool the scope never spawns: [`TaskScope::spawn`] runs
-    /// its closure inline (so a panic surfaces at the `spawn` call, not at
-    /// [`Task::join`] — the serial and parallel runs still fail on the same
-    /// task, just at different source lines). On a parallel pool each
-    /// `spawn` gets its own scoped thread; all tasks are joined before
-    /// `scope` returns.
-    pub fn scope<'env, F, R>(&self, f: F) -> R
-    where
-        F: for<'scope> FnOnce(&TaskScope<'scope, 'env>) -> R,
-    {
-        if self.is_serial() {
-            f(&TaskScope { inner: None })
-        } else {
-            thread::scope(|scope| f(&TaskScope { inner: Some(scope) }))
-        }
-    }
-}
-
-/// A fork/join scope handed to the closure of [`Pool::scope`].
-///
-/// `'scope` is the lifetime of the scope itself, `'env` the environment it
-/// may borrow — the same split as [`std::thread::Scope`].
-#[derive(Clone, Copy, Debug)]
-pub struct TaskScope<'scope, 'env: 'scope> {
-    /// `None` on a serial pool (spawn runs inline), `Some` otherwise.
-    inner: Option<&'scope thread::Scope<'scope, 'env>>,
-}
-
-impl<'scope, 'env> TaskScope<'scope, 'env> {
-    /// Spawns `f` as a task and returns its handle.
-    ///
-    /// On a serial pool the closure runs inline right here; on a parallel
-    /// pool it runs on its own scoped thread. Either way the value (or
-    /// panic) is delivered through [`Task::join`].
-    pub fn spawn<F, R>(&self, f: F) -> Task<'scope, R>
-    where
-        F: FnOnce() -> R + Send + 'scope,
-        R: Send + 'scope,
-    {
-        match self.inner {
-            Some(scope) => Task {
-                state: TaskState::Running(scope.spawn(f)),
-            },
-            None => Task {
-                state: TaskState::Done(f()),
-            },
-        }
-    }
-
-    /// Whether this scope runs tasks inline instead of spawning.
-    pub fn is_serial(&self) -> bool {
-        self.inner.is_none()
-    }
-}
-
-/// A handle to a task spawned by [`TaskScope::spawn`].
-pub struct Task<'scope, R> {
-    state: TaskState<'scope, R>,
-}
-
-enum TaskState<'scope, R> {
-    /// Serial pool: the closure already ran inline.
-    Done(R),
-    /// Parallel pool: the closure runs on this scoped thread.
-    Running(thread::ScopedJoinHandle<'scope, R>),
-}
-
-impl<R> Task<'_, R> {
-    /// Waits for the task and returns its value.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the task's panic payload if the closure panicked.
-    pub fn join(self) -> R {
-        match self.state {
-            TaskState::Done(result) => result,
-            TaskState::Running(handle) => match handle.join() {
-                Ok(result) => result,
-                Err(payload) => resume_unwind(payload),
-            },
-        }
-    }
-}
-
-impl<R> fmt::Debug for Task<'_, R> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = match self.state {
-            TaskState::Done(_) => "done",
-            TaskState::Running(_) => "running",
-        };
-        f.debug_struct("Task").field("state", &state).finish()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
     use std::thread::ThreadId;
     use std::time::Duration;
 
@@ -391,9 +278,6 @@ mod tests {
         let items: Vec<u64> = (0..16).collect();
         let ids: Vec<ThreadId> = Pool::serial().par_map(&items, |_, _| thread::current().id());
         assert!(ids.iter().all(|id| *id == main_id));
-        // Serial scope spawns run inline too.
-        let id = Pool::serial().scope(|s| s.spawn(|| thread::current().id()).join());
-        assert_eq!(id, main_id);
     }
 
     #[test]
@@ -406,65 +290,19 @@ mod tests {
     }
 
     #[test]
-    fn scope_spawn_joins_in_any_order() {
-        let pool = Pool::with_threads(4);
-        let (a, b, c) = pool.scope(|s| {
-            let a = s.spawn(|| {
-                thread::sleep(Duration::from_millis(20));
-                1
-            });
-            let b = s.spawn(|| 2);
-            let c = s.spawn(|| 3);
-            (c.join(), b.join(), a.join())
-        });
-        assert_eq!((a, b, c), (3, 2, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "task panic reaches join")]
-    fn a_spawned_panic_surfaces_at_join() {
-        Pool::with_threads(2).scope(|s| {
-            let task = s.spawn(|| panic!("task panic reaches join"));
-            task.join()
-        })
-    }
-
-    #[test]
-    fn nested_scopes_and_nested_par_map_compose() {
+    fn nested_par_map_composes() {
+        // A `par_map` inside a `par_map` worker: each outer item maps its
+        // own inner slice on the same pool, and both levels come back in
+        // input order.
         let pool = Pool::with_threads(3);
-        let inner_items: Vec<u64> = (0..10).collect();
-        let expected: Vec<u64> = inner_items.iter().map(|x| x * x).collect();
-        let (nested_map, nested_scope) = pool.scope(|outer| {
-            let map_task = outer.spawn(|| pool.par_map(&inner_items, square));
-            let scope_task = outer.spawn(|| {
-                // A fresh scope inside a worker thread.
-                pool.scope(|inner| {
-                    let x = inner.spawn(|| 40);
-                    let y = inner.spawn(|| 2);
-                    x.join() + y.join()
-                })
-            });
-            (map_task.join(), scope_task.join())
-        });
-        assert_eq!(nested_map, expected);
-        assert_eq!(nested_scope, 42);
-    }
-
-    #[test]
-    fn borrowed_state_is_visible_after_the_scope() {
-        let log = Mutex::new(Vec::new());
-        Pool::with_threads(2).scope(|s| {
-            let a = s.spawn(|| match log.lock() {
-                Ok(mut log) => log.push("a"),
-                Err(_) => unreachable!("no poisoned lock in this test"),
-            });
-            a.join();
-        });
-        let log = match log.into_inner() {
-            Ok(log) => log,
-            Err(_) => unreachable!("no poisoned lock in this test"),
-        };
-        assert_eq!(log, ["a"]);
+        let outer: Vec<u64> = (0..4).collect();
+        let inner: Vec<u64> = (0..10).collect();
+        let nested = pool.par_map(&outer, |_, &o| pool.par_map(&inner, |_, &i| o * 100 + i));
+        let expected: Vec<Vec<u64>> = outer
+            .iter()
+            .map(|&o| inner.iter().map(|&i| o * 100 + i).collect())
+            .collect();
+        assert_eq!(nested, expected);
     }
 
     #[test]

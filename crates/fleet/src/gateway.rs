@@ -1,6 +1,6 @@
 //! The fleet gateway: N resumable serve engines stepped on one clock.
 //!
-//! Every replica is a [`ServeSimulator`] over its own machine, run as a
+//! Every replica is a [`ServeSession`] over its own machine, run as a
 //! resumable [`ServeEngine`]. The gateway walks the trace in fleet-clock
 //! order — `(fleet cycle, submission index)` on a fixed 1 GHz tick — and
 //! for each arrival:
@@ -31,9 +31,7 @@
 //! (see [`ServeEngine::push`]).
 
 use edgemm_core::units::Cycles;
-use edgemm_serve::{
-    PolicyKind, ServeEngine, ServeReport, ServeRequest, ServeScratch, ServeSimulator,
-};
+use edgemm_serve::{ServeEngine, ServeReport, ServeRequest, ServeSession};
 
 use crate::report::{FleetCounters, FleetReport};
 use crate::route::{ReplicaView, RoutePolicy};
@@ -43,36 +41,19 @@ use crate::route::{ReplicaView, RoutePolicy};
 /// arrivals on, so it uses a fixed 1 GHz tick (nanoseconds).
 pub const FLEET_CLOCK_HZ: f64 = 1.0e9;
 
-/// One serving replica handed to the gateway: a configured simulator plus
-/// the scheduling policy its own CC/MC pipeline runs under. Replicas may be
-/// heterogeneous — each simulator borrows its own machine, so a Fig.
-/// 11-style mixed fleet is just a mixed vector.
-#[derive(Debug)]
-pub struct FleetReplica<'a> {
-    simulator: ServeSimulator<'a>,
-    policy: PolicyKind,
-    /// The replica's run state, reused across [`FleetGateway::serve`] calls.
-    scratch: ServeScratch,
-}
+/// A fleet replica: a [`ServeSession`]. The alias remains only for callers
+/// that build replicas as `FleetReplica::new` (the benchmark does).
+pub type FleetReplica<'a> = ServeSession<'a>;
 
-impl<'a> FleetReplica<'a> {
-    /// A replica serving through `simulator` under `policy`.
-    pub fn new(simulator: ServeSimulator<'a>, policy: PolicyKind) -> Self {
-        FleetReplica {
-            simulator,
-            policy,
-            scratch: ServeScratch::new(),
-        }
-    }
-}
-
-/// The routed multi-replica gateway. Build one from replicas, then
-/// [`serve`](Self::serve) traces through it; replica pricing caches and
-/// scratch allocations persist across calls (the fleet-level analogue of a
-/// `ServeSession`), while all run state is per call.
+/// The routed multi-replica gateway. Build one from one [`ServeSession`]
+/// per replica, then [`serve`](Self::serve) traces through it; replica
+/// pricing caches and scratch allocations persist across calls, while all
+/// run state is per call. Replicas may be heterogeneous — each simulator
+/// borrows its own machine, so a Fig. 11-style mixed fleet is just a mixed
+/// vector.
 #[derive(Debug)]
 pub struct FleetGateway<'a> {
-    replicas: Vec<FleetReplica<'a>>,
+    replicas: Vec<ServeSession<'a>>,
 }
 
 impl<'a> FleetGateway<'a> {
@@ -81,7 +62,7 @@ impl<'a> FleetGateway<'a> {
     /// # Panics
     ///
     /// Panics if `replicas` is empty.
-    pub fn new(replicas: Vec<FleetReplica<'a>>) -> Self {
+    pub fn new(replicas: Vec<ServeSession<'a>>) -> Self {
         assert!(!replicas.is_empty(), "a fleet needs at least one replica");
         FleetGateway { replicas }
     }
@@ -132,11 +113,8 @@ impl<'a> FleetGateway<'a> {
             })
             .collect();
         arrivals.sort_unstable();
-        let mut engines: Vec<ServeEngine<'_, 'a>> = self
-            .replicas
-            .iter_mut()
-            .map(|r| r.simulator.engine(r.policy.policy(), &mut r.scratch))
-            .collect();
+        let mut engines: Vec<ServeEngine<'_, 'a>> =
+            self.replicas.iter_mut().map(ServeSession::engine).collect();
         let mut assignments = vec![0usize; requests.len()];
         for &(cycle, i) in &arrivals {
             let now_s = cycle.seconds_at(FLEET_CLOCK_HZ);
@@ -167,7 +145,7 @@ impl<'a> FleetGateway<'a> {
         let replays = engines.iter().map(ServeEngine::replays).sum();
         let replicas: Vec<ServeReport> = engines.into_iter().map(ServeEngine::finish).collect();
         let counters = FleetCounters {
-            serve: self.replicas.iter().map(|r| r.scratch.counters()).sum(),
+            serve: self.replicas.iter().map(ServeSession::counters).sum(),
             replays,
         };
         // The fleet drains when the last arrival is routed and the last
@@ -199,15 +177,15 @@ mod tests {
     use super::*;
     use crate::route::{LeastKvLoaded, RoundRobin, RoutingKind};
     use edgemm_mllm::zoo;
-    use edgemm_serve::{ServeConfig, TraceConfig};
+    use edgemm_serve::{PolicyKind, ServeConfig, ServeSimulator, TraceConfig};
     use edgemm_sim::{Machine, SimConfig};
 
     fn machine() -> Machine {
         Machine::new(SimConfig::paper_default())
     }
 
-    fn replica(machine: &Machine) -> FleetReplica<'_> {
-        FleetReplica::new(
+    fn replica(machine: &Machine) -> ServeSession<'_> {
+        ServeSession::new(
             ServeSimulator::new(machine, zoo::sphinx_tiny(), ServeConfig::with_batch_cap(4)),
             PolicyKind::Fcfs,
         )
@@ -358,7 +336,7 @@ mod tests {
         let replicas = (0..2)
             .map(|_| {
                 let simulator = ServeSimulator::new(&m, zoo::sphinx_tiny(), config);
-                FleetReplica::new(simulator, PolicyKind::EarliestDeadlineFirst)
+                ServeSession::new(simulator, PolicyKind::EarliestDeadlineFirst)
             })
             .collect();
         let mut routing = RecordingLeastKv::default();
@@ -402,11 +380,11 @@ mod tests {
     #[test]
     fn heterogeneous_replicas_serve_under_their_own_configs() {
         let m = machine();
-        let fast = FleetReplica::new(
+        let fast = ServeSession::new(
             ServeSimulator::new(&m, zoo::sphinx_tiny(), ServeConfig::with_batch_cap(8)),
             PolicyKind::EarliestDeadlineFirst,
         );
-        let slow = FleetReplica::new(
+        let slow = ServeSession::new(
             ServeSimulator::new(&m, zoo::sphinx_tiny(), ServeConfig::with_batch_cap(1)),
             PolicyKind::Fcfs,
         );

@@ -11,16 +11,17 @@
 //! The paper (PAPER.md) prices one chip serving one queue; production
 //! traffic from millions of users needs many chips behind a router. This
 //! crate composes that router entirely from costs the simulator already
-//! models: every replica is priced by the PR 8 heap engine, and the gateway
-//! only decides *which* replica's queue each request joins.
+//! models: every replica is priced by the single-chip serve engine, and the
+//! gateway only decides *which* replica's queue each request joins.
 //!
 //! ## Layout
 //!
 //! * [`route`] — the [`RoutePolicy`] trait and the four built-in policies
 //!   (round-robin, least-KV-loaded, power-of-two-choices, prefix-affinity),
 //!   enumerable through [`RoutingKind`].
-//! * [`gateway`] — [`FleetGateway`]: the arrival loop over
-//!   [`FleetReplica`]s and the live replica views it routes on.
+//! * [`gateway`] — [`FleetGateway`]: the arrival loop over one
+//!   [`edgemm_serve::ServeSession`] per replica and the live replica views
+//!   it routes on.
 //! * [`report`] — [`FleetReport`]: per-replica [`edgemm_serve::ServeReport`]s
 //!   plus fleet-level SLO attainment, load imbalance and cross-replica
 //!   restarted-prefill accounting, and the run's [`FleetCounters`].

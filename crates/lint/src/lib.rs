@@ -421,8 +421,8 @@ fn check_raw_thread(rel: &Path, src: &str, lexed: &LexedFile, findings: &mut Vec
                     && lexed.tokens[i - 1].text(src) == "::"
                     && lexed.tokens[i - 2].text(src) == "thread",
                 "raw `thread::spawn` outside the execution layer; fan out \
-                 through `edgemm_exec::Pool` (par_map/scope) so worker count \
-                 and result order stay deterministic",
+                 through `edgemm_exec::Pool::par_map` so worker count and \
+                 result order stay deterministic",
             ),
             // Inside sim/mem/serve an `Instant` is already `sim-determinism`'s
             // finding; reporting the same token under two ids would be noise.

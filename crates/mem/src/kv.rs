@@ -178,14 +178,19 @@ impl KvPool {
     /// when most of the batch's KV fits on chip; above 1.0 when a penalised
     /// majority spills.
     pub fn kv_traffic_factor(&self) -> f64 {
-        if self.reserved_bytes.is_zero()
-            || (self.onchip_bytes.is_zero() && is_one(self.spill_penalty))
-        {
-            return 1.0;
-        }
-        let spilled = self.reserved_bytes.saturating_sub(self.onchip_bytes);
-        spilled.ratio(self.reserved_bytes) * self.spill_penalty
+        spill_traffic_factor(self.reserved_bytes, self.onchip_bytes, self.spill_penalty)
     }
+}
+
+/// The two-tier spill formula of the module docs over `occupied` bytes of
+/// resident KV, shared by both pools: 1.0 when nothing is resident, or
+/// when there is no on-chip tier and the penalty is 1.0.
+pub(crate) fn spill_traffic_factor(occupied: Bytes, onchip: Bytes, spill_penalty: f64) -> f64 {
+    if occupied.is_zero() || (onchip.is_zero() && is_one(spill_penalty)) {
+        return 1.0;
+    }
+    let spilled = occupied.saturating_sub(onchip);
+    spilled.ratio(occupied) * spill_penalty
 }
 
 impl Default for KvPool {

@@ -46,10 +46,9 @@
 //! allocated block (it has the pool to itself) may grow past the budget, so
 //! an oversized request degrades to running solo instead of deadlocking.
 
-use edgemm_core::float::is_one;
 use edgemm_core::units::{Bytes, BytesPerToken, Tokens};
 
-use crate::kv::KvPool;
+use crate::kv::{spill_traffic_factor, KvPool};
 
 /// Deterministic 64-bit FNV-1a over a byte slice.
 ///
@@ -687,12 +686,7 @@ impl PagedKvPool {
     /// DRAM cycles — the same two-tier spill formula as
     /// [`KvPool::kv_traffic_factor`], over block-granular occupancy.
     pub fn kv_traffic_factor(&self) -> f64 {
-        let occupied = self.occupied_bytes();
-        if occupied.is_zero() || (self.onchip_bytes.is_zero() && is_one(self.spill_penalty)) {
-            return 1.0;
-        }
-        let spilled = occupied.saturating_sub(self.onchip_bytes);
-        spilled.ratio(occupied) * self.spill_penalty
+        spill_traffic_factor(self.occupied_bytes(), self.onchip_bytes, self.spill_penalty)
     }
 }
 

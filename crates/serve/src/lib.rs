@@ -182,6 +182,8 @@ pub use policy::{
     SchedulePolicy, ShortestPromptFirst,
 };
 pub use request::{CompletedRequest, RejectedRequest, ServeRequest, SharedPrefix};
-pub use simulator::{ServeConfig, ServeCounters, ServeEngine, ServeScratch, ServeSimulator};
+pub use simulator::{
+    ServeConfig, ServeCounters, ServeEngine, ServeScratch, ServeSession, ServeSimulator,
+};
 pub use slo::{AdmissionControl, Priority, SloClass};
 pub use trace::{merge, TraceConfig};

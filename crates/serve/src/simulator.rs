@@ -76,7 +76,7 @@ use crate::slo::AdmissionControl;
 
 mod engine;
 
-pub use engine::{ServeCounters, ServeEngine, ServeScratch};
+pub use engine::{ServeCounters, ServeEngine, ServeScratch, ServeSession};
 
 /// Static configuration of a serving run.
 ///
@@ -989,12 +989,13 @@ impl<'a> ServeSimulator<'a> {
         total.max(Cycles::new(1))
     }
 
-    /// The pre-heap reference engine: the original advance-and-scan event
-    /// loop, kept as the behavioural oracle for the heap-scheduled
-    /// [`Self::run`] (whose stage methods carry the model's rationale). The
-    /// differential harness (this crate's unit tests and the workspace
-    /// `tests/properties.rs`) replays traces through both and asserts
-    /// byte-identical [`ServeReport`]s.
+    /// The reference engine: the original advance-and-scan event loop,
+    /// kept as the behavioural oracle for the [`ServeEngine`] behind
+    /// [`Self::run`] (whose stage methods carry the model's rationale). It
+    /// orders arrivals by a sorted index of its own, not by the engine's
+    /// pending tail. The differential harness (this crate's unit tests and
+    /// the workspace `tests/properties.rs`) replays traces through both and
+    /// asserts byte-identical [`ServeReport`]s.
     ///
     /// Compiled for this crate's tests and behind the `reference` feature
     /// for external harnesses; it is not part of the production API.
@@ -1478,7 +1479,7 @@ impl<'a> ServeSimulator<'a> {
     }
 
     /// Assemble the [`ServeReport`] from the engine's final state. Shared by
-    /// the heap engine and the reference engine, so the two can only ever
+    /// [`ServeEngine`] and the reference engine, so the two can only ever
     /// differ in the state they hand over — never in how it is summarised.
     #[allow(clippy::too_many_arguments)]
     fn assemble_report(
@@ -2673,7 +2674,10 @@ mod tests {
     fn same_cycle_arrivals_queue_in_id_order_whatever_the_push_order() {
         // A burst of same-instant arrivals plus Poisson traffic, served in
         // submission order and reversed: the engines queue same-cycle
-        // arrivals by id, so an order-sensitive policy sees one queue.
+        // arrivals by id, so an order-sensitive policy sees one queue. So
+        // does an engine that advances between the trace's two halves and
+        // then gets the second half reversed: every advance re-sorts the
+        // requests still pending.
         let m = machine();
         let sim = simulator(&m, 2);
         let trace = crate::trace::merge(&[
@@ -2689,6 +2693,20 @@ mod tests {
         for request in &reversed {
             engine.push(request);
         }
+        assert_eq!(engine.finish(), forward);
+        let (first, rest) = trace.split_at(trace.len() / 2);
+        let (last_first, first_rest) = (first[first.len() - 1].arrival_s, rest[0].arrival_s);
+        let between = (last_first + first_rest) / 2.0;
+        assert!(last_first < between && between < first_rest);
+        let mut engine = sim.engine(&NewestQueued, &mut scratch);
+        for request in first {
+            engine.push(request);
+        }
+        engine.advance_until(between);
+        for request in rest.iter().rev() {
+            engine.push(request);
+        }
+        assert_eq!(engine.replays(), 0);
         assert_eq!(engine.finish(), forward);
     }
 

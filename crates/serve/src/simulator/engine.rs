@@ -1,13 +1,12 @@
-//! The resumable event engine behind [`ServeSimulator::run`]: an arrival
-//! heap and two completion slots.
+//! The resumable event engine behind [`ServeSimulator::run`]: a request
+//! table whose pending tail is sorted by arrival, and two completion slots.
 
 use edgemm_core::units::{Bytes, Cycles, Tokens};
-use edgemm_event::EventQueue;
 use edgemm_mem::{DmaEngine, KvPool, PagedKvPool};
 
 use super::{DecodeMemo, InFlight, ServeSimulator};
 use crate::metrics::{QueueSample, ServeReport};
-use crate::policy::{PolicyKey, QueuedRequest, SchedulePolicy};
+use crate::policy::{PolicyKey, PolicyKind, QueuedRequest, SchedulePolicy};
 use crate::request::ServeRequest;
 use crate::slo::AdmissionControl;
 
@@ -345,18 +344,12 @@ impl CcQueue {
 /// allocations.
 #[derive(Debug, Default)]
 pub struct ServeScratch {
-    /// Every pushed request, in push order.
+    /// Every pushed request: `states[..arrived]` have arrived, in the order
+    /// they joined the CC queue, and the rest are pending.
     states: Vec<InFlight>,
-    /// How many of `states` have their arrival in `arrival_heap`. A push
-    /// only admits and the next advance schedules the new arrivals, so a
-    /// one-shot run admits every request before the heap grows (interleaved,
-    /// the two cost ~2 MiB more peak RSS at the benchmark's light load).
-    scheduled: usize,
-    /// The scheduled arrivals, by state index: the only events in a heap.
-    arrival_heap: EventQueue<usize>,
+    /// How many of `states` have arrived.
+    arrived: usize,
     cc_queue: CcQueue,
-    /// The arrivals popped in one cycle, sorted by id before they queue.
-    arrivals: Vec<usize>,
     ready: Vec<usize>,
     batch: Vec<usize>,
     /// The request whose chunk the CC stage runs, and the cycle the chunk
@@ -403,10 +396,8 @@ impl ServeScratch {
     /// Clear every piece of run state for a fresh run of `simulator`.
     fn reset(&mut self, simulator: &ServeSimulator<'_>) {
         self.states.clear();
-        self.scheduled = 0;
-        self.arrival_heap.clear();
+        self.arrived = 0;
         self.cc_queue.reset(simulator.config.admission);
-        self.arrivals.clear();
         self.ready.clear();
         self.batch.clear();
         self.cc_busy = None;
@@ -435,18 +426,19 @@ impl ServeScratch {
 /// one-shot run pushes every request, then finishes; the fleet gateway
 /// steps one engine per replica on one clock.
 ///
-/// Arrivals wait in an [`EventQueue`]. At most one prefill chunk and one
-/// decode step are ever in flight, and neither is ever cancelled, so their
-/// completions sit in two slots beside it: the next event is the earliest
-/// of the heap top and the two slots, and scheduling or taking a
-/// completion is a field write. Each processed cycle takes everything
-/// due, applies it grouped by kind (arrivals in id order, then the chunk
-/// completion, then the step completion — the reference engine's drain
-/// order), dispatches the CC stage, then the MC stage, and records one
-/// [`QueueSample`]. An event costs the same however much model time the
-/// run spans (the DMA engine jumps its throttling window across an idle
-/// gap in one step) and however many arrivals are still pending (only an
-/// arrival pays the heap's O(log n) pop).
+/// The requests not yet arrived wait at the tail of the run's request
+/// table, which each advance sorts by `(arrival cycle, id)`, so the next
+/// arrival is the first of them. At most one prefill chunk and one decode
+/// step are ever in flight, and neither is ever cancelled, so their
+/// completions sit in two slots: the next event is the earliest of the
+/// next arrival and the two slots, and scheduling or taking a completion
+/// is a field write. Each processed cycle takes everything due, applies it
+/// grouped by kind (arrivals in id order, then the chunk completion, then
+/// the step completion — the reference engine's drain order), dispatches
+/// the CC stage, then the MC stage, and records one [`QueueSample`]. An
+/// event costs the same however much model time the run spans (the DMA
+/// engine jumps its throttling window across an idle gap in one step) and
+/// however many arrivals are still pending.
 #[derive(Debug)]
 pub struct ServeEngine<'e, 'a> {
     simulator: &'e ServeSimulator<'a>,
@@ -477,10 +469,10 @@ impl<'a> ServeSimulator<'a> {
     /// Serve a trace of requests under `policy` and report per-request
     /// timelines plus aggregate metrics.
     ///
-    /// This is the heap-scheduled [`ServeEngine`] with every request pushed
-    /// up front. Steps are priced by the factored `decode_step_cycles`, and
-    /// the report is byte-identical to the reference engine's — pinned by
-    /// the differential suite.
+    /// This is the [`ServeEngine`] with every request pushed up front.
+    /// Steps are priced by the factored `decode_step_cycles`, and the
+    /// report is byte-identical to the reference engine's — pinned by the
+    /// differential suite.
     ///
     /// # Panics
     ///
@@ -514,20 +506,71 @@ impl<'a> ServeSimulator<'a> {
     }
 }
 
+/// A serving session: a simulator, the built-in policy it serves under and
+/// a scratch, reused across traces.
+///
+/// The simulator keeps its pricing memo and the scratch its collection
+/// capacities from one run to the next, so repeatedly timed serves (the
+/// benchmark's hot loop) spend their host cycles simulating instead of
+/// re-pricing chunks and re-growing the same collections. One session
+/// serves a single system (the facade's `EdgeMm::serve_session`), and the
+/// fleet gateway holds one per replica.
+#[derive(Debug)]
+pub struct ServeSession<'a> {
+    simulator: ServeSimulator<'a>,
+    policy: PolicyKind,
+    scratch: ServeScratch,
+}
+
+impl<'a> ServeSession<'a> {
+    /// A session serving through `simulator` under `policy`.
+    pub fn new(simulator: ServeSimulator<'a>, policy: PolicyKind) -> Self {
+        ServeSession {
+            simulator,
+            policy,
+            scratch: ServeScratch::new(),
+        }
+    }
+
+    /// Serve one trace: [`ServeSimulator::run_with_scratch`] under the
+    /// session's policy, byte-identical to a one-shot [`ServeSimulator::run`].
+    pub fn serve(&mut self, requests: &[ServeRequest]) -> ServeReport {
+        self.simulator
+            .run_with_scratch(requests, self.policy.policy(), &mut self.scratch)
+    }
+
+    /// Start a resumable run under the session's policy, in its scratch.
+    pub fn engine(&mut self) -> ServeEngine<'_, 'a> {
+        self.simulator
+            .engine(self.policy.policy(), &mut self.scratch)
+    }
+
+    /// The work counters of the session's last run
+    /// ([`ServeScratch::counters`]).
+    pub fn counters(&self) -> ServeCounters {
+        self.scratch.counters()
+    }
+
+    /// The session's simulator, for runs under another policy on exactly
+    /// the session's configuration.
+    pub fn simulator(&self) -> &ServeSimulator<'a> {
+        &self.simulator
+    }
+}
+
 impl ServeEngine<'_, '_> {
     /// Add `request` to the run. The state at a cycle depends only on
     /// requests arriving at or before it, so a later arrival just joins;
     /// one at or before the last processed event makes the engine *replay*:
-    /// reset, re-push every request in `(arrival cycle, id)` order, and
-    /// re-process on the next advance. Either way the finished report is
-    /// byte-identical to a one-shot run of every pushed request.
+    /// reset, re-push every request, and re-process on the next advance.
+    /// Either way the finished report is byte-identical to a one-shot run
+    /// of every pushed request.
     pub fn push(&mut self, request: &ServeRequest) {
         let s = &mut *self.scratch;
         let state = self.simulator.admit(request, &mut s.decode_memo);
         if s.last_event.is_some_and(|last| state.arrival_cycle <= last) {
             let mut states = std::mem::take(&mut s.states);
             states.push(state);
-            states.sort_by_key(|state| (state.arrival_cycle, state.request.id));
             s.reset(self.simulator);
             let memo = &mut s.decode_memo;
             let admitted = states
@@ -544,7 +587,7 @@ impl ServeEngine<'_, '_> {
     /// chip clock's `Cycles::seconds_at`, the report's own time base).
     pub fn advance_until(&mut self, now_s: f64) {
         let clock_hz = self.simulator.clock_hz();
-        self.schedule_arrivals();
+        self.sort_pending();
         while let Some(now) = self.next_cycle() {
             if now.seconds_at(clock_hz) > now_s {
                 break;
@@ -590,7 +633,7 @@ impl ServeEngine<'_, '_> {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), s.states.len(), "request ids must be unique");
-        self.schedule_arrivals();
+        self.sort_pending();
         while let Some(now) = self.next_cycle() {
             self.process(now);
         }
@@ -615,27 +658,23 @@ impl ServeEngine<'_, '_> {
         )
     }
 
-    /// Put the arrivals pushed since the last advance into the heap, sized
-    /// for all of them at once (a one-shot run's whole trace is one
-    /// allocation, not a doubling chain).
-    fn schedule_arrivals(&mut self) {
+    /// Sort the pending requests into arrival order, `(arrival cycle, id)`,
+    /// so the next arrival is `states[arrived]`. Reordering them moves no
+    /// reference: an index enters a queue or a slot only once its request
+    /// arrives. In place, because a stable sort would allocate scratch for
+    /// half of them.
+    fn sort_pending(&mut self) {
         let s = &mut *self.scratch;
-        s.arrival_heap.reserve(s.states.len() - s.scheduled);
-        for (idx, state) in s.states.iter().enumerate().skip(s.scheduled) {
-            s.arrival_heap.push(state.arrival_cycle, idx);
-        }
-        s.scheduled = s.states.len();
+        s.states[s.arrived..].sort_unstable_by_key(|state| (state.arrival_cycle, state.request.id));
     }
 
     /// The cycle of the next event: the earliest of the next arrival, the
     /// chunk completion and the step completion.
     fn next_cycle(&self) -> Option<Cycles> {
         let s = &*self.scratch;
+        let arrival = s.states.get(s.arrived).map(|state| state.arrival_cycle);
         let chunk = s.cc_busy.map(|(_, end)| end);
-        [s.arrival_heap.next_cycle(), chunk, s.step_end]
-            .into_iter()
-            .flatten()
-            .min()
+        [arrival, chunk, s.step_end].into_iter().flatten().min()
     }
 
     /// Process everything due at cycle `now`, the earliest pending event.
@@ -647,16 +686,14 @@ impl ServeEngine<'_, '_> {
         debug_assert!(s.last_event.map_or(true, |last| last < now));
         s.last_event = Some(now);
         s.counters.events += 1;
-        while let Some((_, idx)) = s.arrival_heap.pop_due(now) {
-            s.arrivals.push(idx);
-        }
         // Same-cycle arrivals join in id order, whatever their push order.
-        let states = &s.states;
-        s.arrivals.sort_by_key(|&idx| states[idx].request.id);
-        for &idx in &s.arrivals {
-            s.cc_queue.push(idx, &s.states, self.policy);
+        while let Some(state) = s.states.get(s.arrived) {
+            if state.arrival_cycle > now {
+                break;
+            }
+            s.cc_queue.push(s.arrived, &s.states, self.policy);
+            s.arrived += 1;
         }
-        s.arrivals.clear();
         if let Some((idx, _)) = s.cc_busy.filter(|&(_, end)| end <= now) {
             s.cc_busy = None;
             s.counters.chunk_completions += 1;

@@ -1,11 +1,10 @@
-//! Direct workspace-level unit tests for two substrate contracts that the
-//! serving stack (and now the fleet gateway) lean on but previously only
-//! exercised indirectly through serve runs:
+//! Direct workspace-level unit tests for two substrate contracts:
 //!
 //! * `edgemm-event`: same-cycle FIFO pop order holds under *interleaved*
 //!   push/pop — the event queue's seq counter never resets mid-stream, so
 //!   draining due events and scheduling follow-ups at the same cycle stays
-//!   deterministic.
+//!   deterministic. No engine uses the queue; the repository benchmark
+//!   still times it.
 //! * `edgemm-exec`: `Pool::par_map` captures per-item panics and re-raises
 //!   the **smallest-index** payload, regardless of which worker failed
 //!   first — the guarantee that makes parallel-sweep failures reproducible
@@ -43,9 +42,9 @@ fn event_queue_same_cycle_fifo_holds_under_interleaved_push_pop() {
 
 #[test]
 fn event_queue_pop_due_interleaves_with_reschedules_at_one_cycle() {
-    // The gateway idiom: pop a due event, push its follow-up at the very
-    // same cycle, and expect the follow-up to pop after everything that
-    // was already queued there.
+    // Pop a due event, push its follow-up at the very same cycle, and
+    // expect the follow-up to pop after everything that was already queued
+    // there.
     let mut queue = EventQueue::new();
     queue.push(Cycles::new(5), 0);
     queue.push(Cycles::new(5), 1);
