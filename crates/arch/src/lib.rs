@@ -36,7 +36,6 @@
 mod area;
 mod config;
 mod error;
-mod topology;
 
 pub use area::{AreaBreakdown, AreaModel, PowerBreakdown, PowerModel};
 pub use config::{
@@ -44,4 +43,3 @@ pub use config::{
     CoreConfig, MemoryConfig, SystolicGeometry,
 };
 pub use error::ConfigError;
-pub use topology::{ClusterId, CoreId, CorePath, GroupId, Topology};

@@ -1,6 +1,6 @@
-//! Ablation sweeps for the design choices called out in DESIGN.md:
-//! systolic tile shape, CIM activation bit-width, dynamic-k threshold,
-//! and the CC:MC cluster mix.
+//! Ablation sweeps over four design choices the paper fixes: systolic
+//! tile shape, CIM activation bit-width, dynamic-k threshold, and the
+//! CC:MC cluster mix.
 
 use edgemm::arch::{ChipConfig, CimGeometry, ClusterKind, SystolicGeometry};
 use edgemm::pruning::{DynamicTopK, DynamicTopKConfig, Pruner};

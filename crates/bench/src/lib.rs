@@ -1,4 +1,4 @@
-//! Benchmark harness and figure-report binaries for the EdgeMM reproduction.
+//! Figure-report binaries for the EdgeMM reproduction.
 //!
 //! Every table and figure of the paper's evaluation has a report binary that
 //! regenerates it from the library:
@@ -16,12 +16,11 @@
 //! | `table2_gpu` | Table II — EdgeMM vs RTX 3060 Laptop |
 //!
 //! Run them all with `cargo run -p edgemm-bench --bin <name> --release`.
-//! `serving_sweep` sweeps the serving stack beyond the paper. The one
-//! Criterion bench, `coprocessors`, times the coprocessor models
-//! (systolic-array GEMM, CIM GEMV, the activation-aware pruner); no
-//! benchmark workload runs the first two. The repository benchmark
-//! (`perfbench/`) times the rest: the serve engine, the fleet gateway and
-//! the figure generators.
+//! `ablations` sweeps four of the paper's design choices and
+//! `serving_sweep` sweeps the serving stack beyond the paper (its one
+//! wall-clock number is the thread pool's parallel speedup). The
+//! repository benchmark (`perfbench/`) times the serve engine, the fleet
+//! gateway and the figure generators.
 
 /// Format a byte count with a binary-prefix unit.
 pub fn format_bytes(bytes: u64) -> String {

@@ -18,8 +18,8 @@
 //! asymmetry that motivates the heterogeneous design.
 
 use crate::quant::{quantize_int8, QuantizedVector};
-use crate::Cycles;
 use edgemm_arch::CimGeometry;
+use edgemm_core::units::Cycles;
 
 /// Result of a GEMV on the CIM model.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,10 +37,10 @@ pub struct GemvResult {
 impl GemvResult {
     /// Achieved effective MACs per cycle.
     pub fn macs_per_cycle(&self) -> f64 {
-        if self.cycles.0 == 0 {
+        if self.cycles.is_zero() {
             0.0
         } else {
-            self.macs as f64 / self.cycles.0 as f64
+            self.macs as f64 / self.cycles.as_f64()
         }
     }
 }
@@ -117,14 +117,14 @@ impl CimMacro {
         let w = self.geometry.activation_bits as u64;
         let col_passes = n.div_ceil(self.geometry.cols) as u64;
         let m_seq = k.div_ceil(self.geometry.subarrays) as u64;
-        Cycles(col_passes * (m_seq * w + 1))
+        Cycles::new(col_passes * (m_seq * w + 1))
     }
 
     /// Cycle count of running an `m`-row GEMM on the CIM macro (each row is a
     /// separate bit-serial GEMV — the `W` factor that makes CIM a poor fit
     /// for compute-bound GEMM).
     pub fn gemm_cycles(&self, m: usize, k: usize, n: usize) -> Cycles {
-        Cycles(m as u64 * self.gemv_cycles(k, n).0)
+        self.gemv_cycles(k, n) * m
     }
 
     /// Functional GEMV: `output = x (1 x k) * W (k x n)` using the resident
@@ -344,11 +344,11 @@ mod tests {
             activation_bits: 8,
         });
         // Single column pass, k = 16 -> M = 1 sequential row, W = 8 -> 9 cycles.
-        assert_eq!(cim.gemv_cycles(16, 32), Cycles(9));
+        assert_eq!(cim.gemv_cycles(16, 32), 9);
         // k = 160 -> M = 10, W = 8 -> 81 cycles.
-        assert_eq!(cim.gemv_cycles(160, 32), Cycles(81));
+        assert_eq!(cim.gemv_cycles(160, 32), 81);
         // n = 64 needs two column passes.
-        assert_eq!(cim.gemv_cycles(160, 64), Cycles(162));
+        assert_eq!(cim.gemv_cycles(160, 64), 162);
     }
 
     #[test]
@@ -391,7 +391,7 @@ mod tests {
         let cim = CimMacro::default();
         let dense = cim.gemv_cycles(1024, 256);
         let half = cim.gemv_cycles(512, 256);
-        let ratio = dense.0 as f64 / half.0 as f64;
+        let ratio = dense.ratio(half);
         assert!((ratio - 2.0).abs() < 0.05, "ratio = {ratio}");
     }
 

@@ -10,15 +10,15 @@
 //!   SRAM macro with per-column adder trees performing bit-serial GEMV in
 //!   `L_CIM = M*W + 1` cycles (Eq. 3).
 //!
-//! Both core kinds additionally carry a [`VectorUnit`] for element-wise
-//! operations (activation functions, precision conversion) and the MC cores
-//! embed the hardware [`ActAwarePruner`] of Fig. 8, which performs the local
-//! Top-k channel selection that backs the activation-aware weight pruning.
+//! The MC cores also embed the hardware [`ActAwarePruner`] of Fig. 8, which
+//! performs the local Top-k channel selection that backs the
+//! activation-aware weight pruning.
 //!
 //! The models here are *functional* (they compute real numbers so accuracy
-//! experiments are meaningful) and *timed* (they report cycle counts used by
-//! the `edgemm-sim` performance simulator). They are deliberately not
-//! bit-exact RTL models — see DESIGN.md for the substitution rationale.
+//! experiments are meaningful) and *timed* (they report
+//! [`Cycles`](edgemm_core::units::Cycles); the `edgemm-sim` mapping explorer
+//! prices every GEMM and GEMV through the Eq. 2/3 formulas). They are
+//! deliberately not bit-exact RTL models.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,91 +27,55 @@ mod cim;
 mod pruner;
 mod quant;
 mod systolic;
-mod vector;
 
 pub use cim::{CimMacro, GemvResult};
 pub use pruner::{ActAwarePruner, PruneOutcome};
-pub use quant::{bf16_round, dequantize_int8, quantize_int8, QuantizedVector};
+pub use quant::{bf16_round, quantize_int8, QuantizedVector};
 pub use systolic::{GemmResult, SystolicArray};
-pub use vector::{VectorUnit, VectorUnitResult};
-
-/// Cycle count newtype shared by all coprocessor timing models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Cycles(pub u64);
-
-impl Cycles {
-    /// Zero cycles.
-    pub const ZERO: Cycles = Cycles(0);
-
-    /// Saturating addition.
-    pub fn saturating_add(self, other: Cycles) -> Cycles {
-        Cycles(self.0.saturating_add(other.0))
-    }
-
-    /// Convert to seconds at the given clock frequency.
-    pub fn to_seconds(self, clock_mhz: u32) -> f64 {
-        self.0 as f64 / (clock_mhz as f64 * 1.0e6)
-    }
-}
-
-impl std::ops::Add for Cycles {
-    type Output = Cycles;
-    fn add(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0 + rhs.0)
-    }
-}
-
-impl std::ops::AddAssign for Cycles {
-    fn add_assign(&mut self, rhs: Cycles) {
-        self.0 += rhs.0;
-    }
-}
-
-impl std::iter::Sum for Cycles {
-    fn sum<I: Iterator<Item = Cycles>>(iter: I) -> Cycles {
-        iter.fold(Cycles::ZERO, |a, b| a + b)
-    }
-}
-
-impl std::fmt::Display for Cycles {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} cycles", self.0)
-    }
-}
 
 #[cfg(test)]
 mod tests {
+    //! The coprocessor models report the shared `units::Cycles`; these pin
+    //! the arithmetic, conversion and formatting the models rely on.
+
     use super::*;
+    use edgemm_arch::SystolicGeometry;
+    use edgemm_core::units::Cycles;
 
     #[test]
     fn cycles_arithmetic() {
-        let a = Cycles(10) + Cycles(5);
-        assert_eq!(a, Cycles(15));
-        let mut b = Cycles(1);
-        b += Cycles(2);
-        assert_eq!(b, Cycles(3));
+        let a = Cycles::new(10) + Cycles::new(5);
+        assert_eq!(a, Cycles::new(15));
+        let mut b = Cycles::new(1);
+        b += Cycles::new(2);
+        assert_eq!(b, Cycles::new(3));
         assert_eq!(
-            vec![Cycles(1), Cycles(2), Cycles(3)]
-                .into_iter()
-                .sum::<Cycles>(),
-            Cycles(6)
+            [1, 2, 3].into_iter().map(Cycles::new).sum::<Cycles>(),
+            Cycles::new(6)
         );
+        // A tiled GEMM costs its Eq. 2 tile latency once per weight tile.
+        let sa = SystolicArray::new(SystolicGeometry::paper_default());
+        let per_tile: Cycles = (0..sa.tile_count(256, 256))
+            .map(|_| sa.tile_cycles(8))
+            .sum();
+        assert_eq!(sa.gemm_cycles(8, 256, 256), per_tile);
     }
 
     #[test]
     fn cycles_to_seconds() {
         // 1000 cycles at 1 GHz is 1 microsecond.
-        let t = Cycles(1000).to_seconds(1000);
+        let t = Cycles::new(1000).seconds(1000);
         assert!((t - 1.0e-6).abs() < 1e-15);
     }
 
     #[test]
     fn cycles_display() {
-        assert_eq!(Cycles(42).to_string(), "42 cycles");
+        // The shared type prints the bare count; callers name the unit.
+        assert_eq!(Cycles::new(42).to_string(), "42");
     }
 
     #[test]
     fn cycles_saturating() {
-        assert_eq!(Cycles(u64::MAX).saturating_add(Cycles(1)), Cycles(u64::MAX));
+        assert_eq!(Cycles::MAX.saturating_add(Cycles::new(1)), Cycles::MAX);
     }
 }

@@ -18,7 +18,7 @@
 //! * a **masking/aggregation** stage that packs the selected activations
 //!   into the destination vector register for the CIM GEMV.
 
-use crate::Cycles;
+use edgemm_core::units::Cycles;
 
 /// Outcome of one hardware pruner invocation over a local activation slice.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,7 +120,7 @@ impl ActAwarePruner {
         // a pass for the th-mask, `lanes` channels per cycle, and one cycle
         // per kept channel for the address generator FIFO.
         let passes = len.div_ceil(self.lanes) as u64;
-        let cycles = Cycles(2 * passes + kept.len() as u64 + 1);
+        let cycles = Cycles::new(2 * passes + kept.len() as u64 + 1);
         PruneOutcome {
             kept_indices: kept,
             packed,

@@ -54,11 +54,6 @@ pub fn quantize_int8(values: &[f32]) -> QuantizedVector {
     QuantizedVector { values, scale }
 }
 
-/// Dequantize an INT8 vector back to `f32`.
-pub fn dequantize_int8(q: &QuantizedVector) -> Vec<f32> {
-    q.values.iter().map(|&v| v as f32 * q.scale).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,10 +107,9 @@ mod tests {
     fn int8_round_trip_error_bounded() {
         let values: Vec<f32> = (0..64).map(|i| (i as f32 - 32.0) * 0.37).collect();
         let q = quantize_int8(&values);
-        let deq = dequantize_int8(&q);
         let max_abs = values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        for (a, b) in values.iter().zip(&deq) {
-            assert!((a - b).abs() <= max_abs / 127.0 + 1e-6);
+        for (a, &v) in values.iter().zip(&q.values) {
+            assert!((a - v as f32 * q.scale).abs() <= max_abs / 127.0 + 1e-6);
         }
     }
 
@@ -123,7 +117,7 @@ mod tests {
     fn int8_zero_vector() {
         let q = quantize_int8(&[0.0, 0.0, 0.0]);
         assert_eq!(q.scale, 1.0);
-        assert_eq!(dequantize_int8(&q), vec![0.0, 0.0, 0.0]);
+        assert_eq!(q.values, vec![0, 0, 0]);
         assert_eq!(q.len(), 3);
         assert!(!q.is_empty());
     }

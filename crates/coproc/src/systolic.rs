@@ -14,8 +14,8 @@
 //! memory-centric CIM coprocessor.
 
 use crate::quant::bf16_round;
-use crate::Cycles;
 use edgemm_arch::SystolicGeometry;
+use edgemm_core::units::Cycles;
 
 /// Result of running a GEMM on the systolic array model.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,10 +37,10 @@ pub struct GemmResult {
 impl GemmResult {
     /// Achieved MACs per cycle (hardware utilisation proxy).
     pub fn macs_per_cycle(&self) -> f64 {
-        if self.cycles.0 == 0 {
+        if self.cycles.is_zero() {
             0.0
         } else {
-            self.macs as f64 / self.cycles.0 as f64
+            self.macs as f64 / self.cycles.as_f64()
         }
     }
 }
@@ -75,7 +75,7 @@ impl SystolicArray {
     pub fn tile_cycles(&self, m: usize) -> Cycles {
         let r = self.geometry.rows as u64;
         let c = self.geometry.cols as u64;
-        Cycles(2 * r + c + m as u64 - 3)
+        Cycles::new(2 * r + c + m as u64 - 3)
     }
 
     /// Number of `R x C` weight tiles needed to cover a `k x n` weight matrix.
@@ -90,8 +90,7 @@ impl SystolicArray {
         if m == 0 || k == 0 || n == 0 {
             return Cycles::ZERO;
         }
-        let tiles = self.tile_count(k, n) as u64;
-        Cycles(tiles * self.tile_cycles(m).0)
+        self.tile_cycles(m) * self.tile_count(k, n)
     }
 
     /// Cycle count of a GEMV (`m = 1`), exposing the PE under-utilisation.
@@ -170,7 +169,7 @@ impl SystolicArray {
                 }
             }
         }
-        let cycles = Cycles(tiles as u64 * self.tile_cycles(m).0);
+        let cycles = self.tile_cycles(m) * tiles;
         GemmResult {
             output,
             m,
@@ -289,9 +288,9 @@ mod tests {
             matrix_registers: 4,
         });
         // 2R + C + M - 3 with R = C = 16, M = 8 -> 32 + 16 + 8 - 3 = 53.
-        assert_eq!(sa.tile_cycles(8), Cycles(53));
+        assert_eq!(sa.tile_cycles(8), 53);
         // GEMV: M = 1 -> 2R + C - 2 = 46.
-        assert_eq!(sa.tile_cycles(1), Cycles(46));
+        assert_eq!(sa.tile_cycles(1), 46);
     }
 
     #[test]
@@ -341,11 +340,10 @@ mod tests {
         let gemv = sa.gemv_cycles(k, n);
         // Per streamed row, GEMV pays the full pipeline fill for one row of
         // work: 64-row GEMM must be far more efficient per row.
-        let gemm_per_row = gemm.0 as f64 / 64.0;
+        let gemm_per_row = gemm.as_f64() / 64.0;
         assert!(
-            gemm_per_row < gemv.0 as f64 / 4.0,
-            "GEMM/row {gemm_per_row}, GEMV {}",
-            gemv.0
+            gemm_per_row < gemv.as_f64() / 4.0,
+            "GEMM/row {gemm_per_row}, GEMV {gemv}"
         );
     }
 

@@ -2,10 +2,12 @@
 //!
 //! A full reproduction of **"EdgeMM: Multi-Core CPU with Heterogeneous
 //! AI-Extension and Activation-aware Weight Pruning for Multimodal LLMs at
-//! Edge"** (DAC 2025) as a Rust library: architecture model, AI-ISA
-//! extension, coprocessor and memory timing models, MLLM workload substrate,
-//! activation-aware pruning, token-length-driven bandwidth management, and
-//! the baselines the paper compares against.
+//! Edge"** (DAC 2025) as a Rust library: architecture model, coprocessor
+//! and memory timing models, MLLM workload substrate, activation-aware
+//! pruning, token-length-driven bandwidth management, and the baselines the
+//! paper compares against. The paper's AI-ISA extension (Fig. 7) is
+//! described, not modeled: the simulator prices coprocessor work through
+//! the Eq. 2/3 cycle formulas instead of running instructions.
 //!
 //! The crate you are reading is the top-level facade: it wires the
 //! subsystem crates together into an easily-scriptable [`EdgeMm`] system and
@@ -33,8 +35,7 @@
 //! |-------|----------|
 //! | `edgemm-core` | unit-safe quantities ([`units::Cycles`], [`units::Bytes`], [`units::Tokens`]) and audited float comparisons |
 //! | `edgemm-arch` | chip hierarchy, coprocessor geometries, 22 nm area/power model |
-//! | `edgemm-isa` | extended instruction formats, CSRs, register files, kernels |
-//! | `edgemm-coproc` | systolic array, digital CIM macro, vector unit, hardware pruner |
+//! | `edgemm-coproc` | systolic array, digital CIM macro, hardware pruner |
 //! | `edgemm-mem` | DRAM model, DMA + PMC throttling, bandwidth allocation, KV pools (flat + paged) |
 //! | `edgemm-mllm` | model zoo (Table I), operator streams, synthetic activations |
 //! | `edgemm-pruning` | dynamic Top-k (Alg. 1), fixed/threshold baselines, metrics |
@@ -64,7 +65,6 @@ pub use edgemm_arch as arch;
 pub use edgemm_baseline as baseline;
 pub use edgemm_coproc as coproc;
 pub use edgemm_fleet as fleet;
-pub use edgemm_isa as isa;
 pub use edgemm_mem as mem;
 pub use edgemm_mllm as mllm;
 pub use edgemm_pruning as pruning;

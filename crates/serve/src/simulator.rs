@@ -2541,12 +2541,12 @@ mod tests {
     }
 
     #[test]
-    fn heap_engine_matches_the_reference_engine() {
-        // The in-crate differential check: the heap-scheduled `run` and the
+    fn serve_engine_matches_the_reference_engine() {
+        // The in-crate differential check: the serve engine's `run` and the
         // reference advance-and-scan `run_reference` must produce
         // byte-identical reports across every configuration family, under
         // every built-in policy both keyed and behind `Unkeyed` (which
-        // makes the heap engine scan). The workspace-level
+        // makes the serve engine scan). The workspace-level
         // `tests/properties.rs` widens this over proptest-randomized traces.
         let m = machine();
         let per_token = zoo::sphinx_tiny()
@@ -2600,12 +2600,12 @@ mod tests {
         edgemm_exec::Pool::from_env().par_map(&combos, |_, &(ci, ti, kind)| {
             let config = configs[ci];
             let sim = ServeSimulator::new(&m, zoo::sphinx_tiny(), config);
-            let heap = sim.run(&traces[ti], kind.policy());
+            let served = sim.run(&traces[ti], kind.policy());
             let reference = sim.run_reference(&traces[ti], kind.policy());
-            assert_eq!(heap, reference, "engines diverged: {config:?} {kind:?}");
+            assert_eq!(served, reference, "engines diverged: {config:?} {kind:?}");
             let scanned = sim.run(&traces[ti], &Unkeyed(kind.policy()));
             assert_eq!(
-                heap, scanned,
+                served, scanned,
                 "keyed and scan diverged: {config:?} {kind:?}"
             );
         });

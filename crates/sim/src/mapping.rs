@@ -52,8 +52,8 @@ impl MappingExplorer {
     /// Compute cycles for one core of `kind` executing an `m x k x n` shard.
     pub fn core_cycles(&self, kind: ClusterKind, m: usize, k: usize, n: usize) -> u64 {
         match kind {
-            ClusterKind::ComputeCentric => self.systolic.gemm_cycles(m, k, n).0,
-            ClusterKind::MemoryCentric => self.cim.gemm_cycles(m, k, n).0,
+            ClusterKind::ComputeCentric => self.systolic.gemm_cycles(m, k, n).get(),
+            ClusterKind::MemoryCentric => self.cim.gemm_cycles(m, k, n).get(),
         }
     }
 

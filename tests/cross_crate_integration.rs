@@ -131,17 +131,6 @@ fn karmavlm_runs_faster_than_sphinx_tiny_on_edgemm() {
 }
 
 #[test]
-fn isa_kernels_round_trip_through_the_encoder() {
-    // The ISA layer is consistent with itself when driven from the top.
-    use edgemm_isa::{decode, KernelBuilder};
-    let kernel = KernelBuilder::new("ffn_shard").gated_mlp_gemv(true).build();
-    for word in kernel.to_words() {
-        decode(word).expect("every emitted word decodes");
-    }
-    assert!(kernel.stats().mvmul >= 3);
-}
-
-#[test]
 fn facade_pruner_outcome_is_consistent_with_dram_row_addressing() {
     // `edgemm::coproc::ActAwarePruner` end to end through the facade: the
     // packed values, kept indices and DMA row addresses it emits must agree

@@ -21,6 +21,12 @@ fn documents() -> Vec<PathBuf> {
     docs
 }
 
+/// Read a file given by its path relative to the repository root.
+fn read(rel: &str) -> String {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("cannot read {rel}: {e}"))
+}
+
 /// Extract the targets of inline markdown links `[text](target)` from one
 /// line. Good enough for the hand-written guides in this repo: no
 /// reference-style links, no nested brackets inside link text.
@@ -90,10 +96,6 @@ fn intra_repo_markdown_links_resolve() {
 /// ledgers, so the three surfaces cannot drift apart again.
 #[test]
 fn remaining_simplifications_have_a_single_source_of_truth() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let read = |rel: &str| {
-        std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("cannot read {rel}: {e}"))
-    };
     let memory = read("docs/memory.md");
     assert!(
         memory.contains("## Remaining simplifications"),
@@ -117,6 +119,78 @@ fn remaining_simplifications_have_a_single_source_of_truth() {
     assert!(
         rustdoc_section.contains("docs/memory.md"),
         "the serve crate rustdoc must defer to docs/memory.md"
+    );
+}
+
+/// README's workspace layout cannot drift from the root manifest: every
+/// non-shim path in `[workspace] members` (plus `.`, the umbrella root
+/// package) has a row in the layout table, every row names a member, and
+/// the shims sentence names exactly the `crates/shims/*` members.
+#[test]
+fn readme_layout_lists_every_workspace_member() {
+    let manifest = read("Cargo.toml");
+    let (mut shims, mut crates): (Vec<&str>, Vec<&str>) = manifest
+        .split("\nmembers = [")
+        .nth(1)
+        .and_then(|rest| rest.split(']').next())
+        .expect("the root manifest keeps a `members = [...]` list")
+        .split('"')
+        .skip(1)
+        .step_by(2)
+        .partition(|member| member.starts_with("crates/shims/"));
+    if manifest.contains("\n[package]") {
+        crates.push(".");
+    }
+
+    let readme = read("README.md");
+    let layout = readme
+        .split("## Workspace layout")
+        .nth(1)
+        .expect("README keeps its 'Workspace layout' section");
+    let rows: Vec<&str> = layout
+        .lines()
+        .skip_while(|line| !line.starts_with('|'))
+        .take_while(|line| line.starts_with('|'))
+        .skip(2) // header and separator
+        .map(|row| {
+            row.split('|')
+                .nth(2)
+                .expect("a Path column")
+                .trim()
+                .trim_matches('`')
+        })
+        .collect();
+    let missing: Vec<&&str> = crates
+        .iter()
+        .filter(|member| !rows.contains(member))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "README's layout table lacks workspace members: {missing:?}"
+    );
+    let strays: Vec<&&str> = rows.iter().filter(|row| !crates.contains(row)).collect();
+    assert!(
+        strays.is_empty(),
+        "README's layout table lists paths that are not workspace members: {strays:?}"
+    );
+
+    let mut named: Vec<&str> = layout
+        .split("The crates under `crates/shims/` (")
+        .nth(1)
+        .and_then(|rest| rest.split(')').next())
+        .expect("README keeps its shims sentence")
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .collect();
+    for shim in &mut shims {
+        *shim = shim.trim_start_matches("crates/shims/");
+    }
+    named.sort_unstable();
+    shims.sort_unstable();
+    assert_eq!(
+        named, shims,
+        "README's shims sentence must name exactly the crates/shims/* members"
     );
 }
 

@@ -560,7 +560,7 @@ fn golden_multi_tenant_recompute_fallback_point() {
 /// engine's cost-memoisation layers (`docs/performance.md`) as pure: a
 /// cache that ever changed a result would split warm from cold here.
 #[test]
-fn golden_heap_engine_is_deterministic_across_runs() {
+fn golden_serve_engine_is_deterministic_across_runs() {
     let trace = merge(&[
         TraceConfig::multi_tenant(3, 24, 8.0, 19).generate(),
         TraceConfig {
