@@ -1,4 +1,4 @@
-//! Functional and timing models of the EdgeMM coprocessors.
+//! Timing models of the EdgeMM coprocessors.
 //!
 //! Each EdgeMM core attaches one of two coprocessors to its RISC-V host core
 //! through a direct-linked interface:
@@ -10,28 +10,22 @@
 //!   SRAM macro with per-column adder trees performing bit-serial GEMV in
 //!   `L_CIM = M*W + 1` cycles (Eq. 3).
 //!
-//! The MC cores also embed the hardware [`ActAwarePruner`] of Fig. 8, which
-//! performs the local Top-k channel selection that backs the
-//! activation-aware weight pruning.
-//!
-//! The models here are *functional* (they compute real numbers so accuracy
-//! experiments are meaningful) and *timed* (they report
-//! [`Cycles`](edgemm_core::units::Cycles); the `edgemm-sim` mapping explorer
-//! prices every GEMM and GEMV through the Eq. 2/3 formulas). They are
-//! deliberately not bit-exact RTL models.
+//! Both report [`Cycles`](edgemm_core::units::Cycles), and the `edgemm-sim`
+//! mapping explorer prices every GEMM and GEMV through them. The
+//! coprocessors' BF16/INT8 numerics and the MC cores' hardware pruner block
+//! (Fig. 8b) are described, not modeled: Fig. 12's accuracy metrics run on
+//! `edgemm-mllm`'s f32 kernels, `edgemm-pruning`'s Top-k selects the kept
+//! channels, and `edgemm-sim` charges the pruner's pass as a fixed overhead
+//! per pruned operator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cim;
-mod pruner;
-mod quant;
 mod systolic;
 
-pub use cim::{CimMacro, GemvResult};
-pub use pruner::{ActAwarePruner, PruneOutcome};
-pub use quant::{bf16_round, quantize_int8, QuantizedVector};
-pub use systolic::{GemmResult, SystolicArray};
+pub use cim::CimMacro;
+pub use systolic::SystolicArray;
 
 #[cfg(test)]
 mod tests {

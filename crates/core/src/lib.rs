@@ -5,9 +5,14 @@
 //! Edge"** (DAC 2025) as a Rust library: architecture model, coprocessor
 //! and memory timing models, MLLM workload substrate, activation-aware
 //! pruning, token-length-driven bandwidth management, and the baselines the
-//! paper compares against. The paper's AI-ISA extension (Fig. 7) is
-//! described, not modeled: the simulator prices coprocessor work through
-//! the Eq. 2/3 cycle formulas instead of running instructions.
+//! paper compares against. Four of the paper's hardware mechanisms are
+//! described, not modeled, because no figure depends on them: the AI-ISA
+//! extension (Fig. 7; coprocessor work is priced through the Eq. 2/3 cycle
+//! formulas instead of running instructions), the coprocessors' BF16/INT8
+//! numerics, the MC cores' hardware pruner block (Fig. 8b; `edgemm-pruning`
+//! selects the channels and its pass is a fixed overhead per pruned
+//! operator) and Sec. IV-B's PMC budget enforcement (every transfer moves
+//! at its side's static bandwidth share).
 //!
 //! The crate you are reading is the top-level facade: it wires the
 //! subsystem crates together into an easily-scriptable [`EdgeMm`] system and
@@ -35,10 +40,10 @@
 //! |-------|----------|
 //! | `edgemm-core` | unit-safe quantities ([`units::Cycles`], [`units::Bytes`], [`units::Tokens`]) and audited float comparisons |
 //! | `edgemm-arch` | chip hierarchy, coprocessor geometries, 22 nm area/power model |
-//! | `edgemm-coproc` | systolic array, digital CIM macro, hardware pruner |
-//! | `edgemm-mem` | DRAM model, DMA + PMC throttling, bandwidth allocation, KV pools (flat + paged) |
+//! | `edgemm-coproc` | systolic array (Eq. 2), digital CIM macro (Eq. 3) |
+//! | `edgemm-mem` | DRAM model, serial DMA channel, bandwidth allocation, KV pools |
 //! | `edgemm-mllm` | model zoo (Table I), operator streams, synthetic activations |
-//! | `edgemm-pruning` | dynamic Top-k (Alg. 1), fixed/threshold baselines, metrics |
+//! | `edgemm-pruning` | dynamic Top-k (Alg. 1), fixed-ratio baseline, metrics |
 //! | `edgemm-sim` | the performance simulator and mapping explorer |
 //! | `edgemm-sched` | pipeline model, token-length-driven bandwidth manager |
 //! | `edgemm-serve` | multi-request serving: continuous batching, scheduling policies |

@@ -428,6 +428,11 @@ impl EdgeMm {
     /// percentiles (p50/p95/p99), per-class SLO attainment, rejected-request
     /// accounting, chunk-preemption and peak-KV-byte counters, steady-state
     /// tokens/s and the queue-depth timeline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request arrives at a negative or non-finite time or two
+    /// requests share an id.
     pub fn serve(
         &self,
         model: &MllmConfig,
@@ -501,7 +506,8 @@ impl EdgeMm {
     ///
     /// # Panics
     ///
-    /// Panics if `replicas` is zero or two requests share an id.
+    /// Panics if `replicas` is zero, a request arrives at a negative or
+    /// non-finite time, or two requests share an id.
     pub fn serve_fleet(
         &self,
         model: &MllmConfig,
@@ -527,7 +533,8 @@ impl EdgeMm {
     ///
     /// # Panics
     ///
-    /// Panics if `systems` is empty or two requests share an id.
+    /// Panics if `systems` is empty, a request arrives at a negative or
+    /// non-finite time, or two requests share an id.
     pub fn serve_fleet_on(
         systems: &[&EdgeMm],
         model: &MllmConfig,

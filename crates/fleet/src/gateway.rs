@@ -100,12 +100,6 @@ impl<'a> FleetGateway<'a> {
             .iter()
             .enumerate()
             .map(|(i, request)| {
-                assert!(
-                    request.arrival_s >= 0.0 && request.arrival_s.is_finite(),
-                    "request {} arrives at invalid time {}",
-                    request.id,
-                    request.arrival_s
-                );
                 (
                     Cycles::from_seconds_round(request.arrival_s, FLEET_CLOCK_HZ),
                     i,
@@ -295,6 +289,35 @@ mod tests {
                 "{}: {message}",
                 kind.name()
             );
+        }
+    }
+
+    #[test]
+    fn one_shot_runs_and_fleets_reject_a_bad_arrival() {
+        // Every engine admits through one check, so a one-shot run and a
+        // routed fleet refuse a NaN, negative or infinite arrival with the
+        // same message instead of serving it at cycle 0.
+        let m = machine();
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut trace = trace(4, 5);
+            trace[2].arrival_s = bad;
+            let want = format!("request {} arrives at invalid time {bad}", trace[2].id);
+            let simulator =
+                ServeSimulator::new(&m, zoo::sphinx_tiny(), ServeConfig::with_batch_cap(4));
+            let one_shot = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                simulator.run(&trace, PolicyKind::Fcfs.policy());
+            }));
+            let mut gateway = FleetGateway::new(vec![replica(&m), replica(&m)]);
+            let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                gateway.serve(&trace, &mut RoundRobin::new());
+            }));
+            for (path, served) in [("run", one_shot), ("fleet", routed)] {
+                let Err(panic) = served else {
+                    panic!("{path}: arrival {bad} was served");
+                };
+                let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+                assert_eq!(message, want, "{path}");
+            }
         }
     }
 

@@ -1,18 +1,13 @@
 //! Chip-level bandwidth allocation between CC and MC clusters.
 //!
-//! EdgeMM implements dynamic bandwidth allocation by assigning each cluster
-//! a memory-access budget `B` per interval `T`. The ratio between the CC
-//! budget `Bc` and the MC budget `Bm` is the knob the token-length-driven
-//! manager turns: the paper sweeps it from the default 1:1 down to 1:3 and
-//! 1:7 as the output token length grows (Fig. 13). This module provides the
-//! mechanism — converting a `Bc:Bm` ratio into per-cluster bandwidth shares
-//! and byte budgets. The *policy* choosing the ratio for a given token
-//! length lives in `edgemm-sched`.
-
-use edgemm_core::float::count;
-use edgemm_core::units::{Bytes, Cycles};
-
-use crate::dram::DramModel;
+//! EdgeMM allocates DRAM bandwidth between the cluster kinds by a `Bc:Bm`
+//! budget ratio. The ratio is the knob the token-length-driven manager
+//! turns: the paper sweeps it from the default 1:1 down to 1:3 and 1:7 as
+//! the output token length grows (Fig. 13). This module converts a ratio
+//! into the CC and MC bandwidth shares every op is priced at; the *policy*
+//! choosing the ratio for a given token length lives in `edgemm-sched`. The
+//! hardware enforces a ratio with per-interval budgets counted in each DMA
+//! (Sec. IV-B); the model applies the shares directly.
 
 /// A bandwidth split between the CC clusters (as a group) and the MC
 /// clusters (as a group). Shares sum to 1.
@@ -85,105 +80,11 @@ impl BandwidthAllocation {
             Some(self.mc_share / self.cc_share)
         }
     }
-
-    /// Per-cluster share for a CC cluster when `cc_clusters` share the CC pool.
-    pub fn cc_cluster_share(&self, cc_clusters: usize) -> f64 {
-        if cc_clusters == 0 {
-            0.0
-        } else {
-            self.cc_share / count(cc_clusters)
-        }
-    }
-
-    /// Per-cluster share for an MC cluster when `mc_clusters` share the MC pool.
-    pub fn mc_cluster_share(&self, mc_clusters: usize) -> f64 {
-        if mc_clusters == 0 {
-            0.0
-        } else {
-            self.mc_share / count(mc_clusters)
-        }
-    }
 }
 
 impl Default for BandwidthAllocation {
     fn default() -> Self {
         Self::equal()
-    }
-}
-
-/// Throttling parameters: how an allocation is enforced by the DMA PMCs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BudgetPolicy {
-    /// Interval `T` over which the PMCs accumulate, in core cycles.
-    pub interval_cycles: Cycles,
-}
-
-impl BudgetPolicy {
-    /// The paper-style default interval (10k cycles = 10 us at 1 GHz).
-    pub fn paper_default() -> Self {
-        BudgetPolicy {
-            interval_cycles: Cycles::new(10_000),
-        }
-    }
-
-    /// Byte budget per interval corresponding to a bandwidth share.
-    pub fn budget_bytes(&self, dram: &DramModel, share: f64) -> Bytes {
-        Bytes::from_f64_floor(dram.peak_bytes_per_cycle() * share * self.interval_cycles.as_f64())
-    }
-}
-
-impl Default for BudgetPolicy {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
-/// Convenience facade combining a DRAM model, an allocation and a policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BandwidthManager {
-    /// DRAM timing model.
-    pub dram: DramModel,
-    /// Current allocation.
-    pub allocation: BandwidthAllocation,
-    /// Throttling policy.
-    pub policy: BudgetPolicy,
-}
-
-impl BandwidthManager {
-    /// Create a manager with equal sharing and default policy.
-    pub fn new(dram: DramModel) -> Self {
-        BandwidthManager {
-            dram,
-            allocation: BandwidthAllocation::equal(),
-            policy: BudgetPolicy::paper_default(),
-        }
-    }
-
-    /// Replace the current allocation.
-    pub fn set_allocation(&mut self, allocation: BandwidthAllocation) {
-        self.allocation = allocation;
-    }
-
-    /// Byte budget per interval for one CC cluster.
-    pub fn cc_cluster_budget(&self, cc_clusters: usize) -> Bytes {
-        self.policy
-            .budget_bytes(&self.dram, self.allocation.cc_cluster_share(cc_clusters))
-    }
-
-    /// Byte budget per interval for one MC cluster.
-    pub fn mc_cluster_budget(&self, mc_clusters: usize) -> Bytes {
-        self.policy
-            .budget_bytes(&self.dram, self.allocation.mc_cluster_share(mc_clusters))
-    }
-
-    /// Aggregate bandwidth (GiB/s) available to the MC side.
-    pub fn mc_bandwidth_gib_s(&self) -> f64 {
-        self.dram.peak_gib_s * self.allocation.mc_share
-    }
-
-    /// Aggregate bandwidth (GiB/s) available to the CC side.
-    pub fn cc_bandwidth_gib_s(&self) -> f64 {
-        self.dram.peak_gib_s * self.allocation.cc_share
     }
 }
 
@@ -221,37 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn per_cluster_shares_divide_the_pool() {
-        let alloc = BandwidthAllocation::from_ratio(1.0, 3.0);
-        assert!((alloc.cc_cluster_share(8) - 0.25 / 8.0).abs() < 1e-12);
-        assert!((alloc.mc_cluster_share(8) - 0.75 / 8.0).abs() < 1e-12);
-        assert_eq!(alloc.cc_cluster_share(0), 0.0);
-    }
-
-    #[test]
-    fn budget_bytes_scale_with_share_and_interval() {
-        let dram = DramModel::paper_default();
-        let policy = BudgetPolicy {
-            interval_cycles: Cycles::new(10_000),
-        };
-        let half = policy.budget_bytes(&dram, 0.5);
-        let quarter = policy.budget_bytes(&dram, 0.25);
-        assert!(half > quarter);
-        assert!((half.ratio(quarter) - 2.0).abs() < 0.01);
-        // Half the 68 GiB/s bandwidth over 10k cycles at 1 GHz ~ 356 KiB.
-        assert!(half > 350_000 && half < 380_000, "half budget = {half}");
-    }
-
-    #[test]
-    fn manager_reports_aggregate_bandwidth() {
-        let mut mgr = BandwidthManager::new(DramModel::paper_default());
-        mgr.set_allocation(BandwidthAllocation::from_ratio(1.0, 7.0));
-        assert!((mgr.mc_bandwidth_gib_s() - 68.0 * 0.875).abs() < 1e-9);
-        assert!((mgr.cc_bandwidth_gib_s() - 68.0 * 0.125).abs() < 1e-9);
-        assert!(mgr.mc_cluster_budget(8) > mgr.cc_cluster_budget(8));
-    }
-
-    #[test]
     #[should_panic(expected = "at least one budget term must be positive")]
     fn zero_ratio_panics() {
         BandwidthAllocation::from_ratio(0.0, 0.0);
@@ -267,14 +137,11 @@ mod tests {
             prop_assert!(alloc.cc_share >= 0.0 && alloc.cc_share <= 1.0);
         }
 
-        /// Shifting budget towards MC never decreases MC bandwidth.
+        /// Shifting budget towards MC never decreases the MC share.
         #[test]
         fn mc_bandwidth_monotonic(bm in 1.0f64..16.0) {
-            let mut mgr = BandwidthManager::new(DramModel::paper_default());
-            mgr.set_allocation(BandwidthAllocation::from_ratio(1.0, bm));
-            let before = mgr.mc_bandwidth_gib_s();
-            mgr.set_allocation(BandwidthAllocation::from_ratio(1.0, bm + 1.0));
-            prop_assert!(mgr.mc_bandwidth_gib_s() >= before);
+            let before = BandwidthAllocation::from_ratio(1.0, bm).mc_share;
+            prop_assert!(BandwidthAllocation::from_ratio(1.0, bm + 1.0).mc_share >= before);
         }
     }
 }

@@ -99,16 +99,6 @@ impl DramModel {
             .seconds(self.clock_mhz);
         block_bytes.as_f64() / GIB / seconds
     }
-
-    /// Energy in joules for moving `bytes` from DRAM.
-    pub fn transfer_energy_j(&self, bytes: Bytes) -> f64 {
-        bytes.as_f64() * self.energy_pj_per_byte * 1e-12
-    }
-
-    /// Seconds corresponding to `cycles` core cycles.
-    pub fn cycles_to_seconds(&self, cycles: Cycles) -> f64 {
-        cycles.seconds(self.clock_mhz)
-    }
 }
 
 impl Default for DramModel {
@@ -183,16 +173,6 @@ mod tests {
             Cycles::ZERO
         );
         assert_eq!(dram.effective_bandwidth_gib_s(Bytes::ZERO), 0.0);
-    }
-
-    #[test]
-    fn energy_scales_linearly() {
-        let dram = DramModel::paper_default();
-        let one = dram.transfer_energy_j(Bytes::new(1_000_000));
-        let two = dram.transfer_energy_j(Bytes::new(2_000_000));
-        assert!((two - 2.0 * one).abs() < 1e-15);
-        // 20 pJ/byte * 1 MB = 20 uJ.
-        assert!((one - 20.0e-6).abs() < 1e-9);
     }
 
     #[test]

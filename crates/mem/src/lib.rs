@@ -1,4 +1,4 @@
-//! Memory system of EdgeMM: DRAM, DMA engines and bandwidth management.
+//! Memory system of EdgeMM: DRAM, DMA channels and bandwidth allocation.
 //!
 //! The whole chip shares one external DRAM interface through a hierarchy of
 //! AXI crossbars. Every cluster owns a distributed DMA engine that moves
@@ -10,11 +10,14 @@
 //!    data memory of MC clusters — which permits bigger blocks per DMA — is
 //!    itself a bandwidth optimisation.
 //! 2. **Bandwidth can be reallocated between cluster kinds** (Sec. IV-B):
-//!    each cluster gets a memory-access budget `B` per interval `T`,
-//!    enforced by performance-monitoring counters in the DMA; once a cluster
-//!    exhausts its budget its requests are blocked until the interval ends.
-//!    Adjusting the CC:MC budget ratio rebalances the encode/prefill vs
-//!    decode pipeline for different output token lengths.
+//!    a [`BandwidthAllocation`] splits the interface between the CC and MC
+//!    clusters by a `Bc:Bm` ratio, and adjusting that ratio rebalances the
+//!    encode/prefill vs decode pipeline for different output token lengths
+//!    (Fig. 13). The hardware enforces the split with a per-cluster budget
+//!    per interval, counted by performance-monitoring counters in the DMA;
+//!    that enforcement is described, not modeled: every transfer is priced
+//!    at its side's static share, and a [`DmaEngine`] is a serial channel
+//!    at one share.
 //!
 //! On top of the raw timing models sit the KV-cache capacity models: the
 //! [`KvPool`] — a byte-budgeted, two-tier (on-chip SRAM + DRAM spill)
@@ -35,11 +38,9 @@ mod dma;
 mod dram;
 mod kv;
 mod paged;
-mod traffic;
 
-pub use bandwidth::{BandwidthAllocation, BandwidthManager, BudgetPolicy};
-pub use dma::{DmaEngine, DmaRequest, DmaTranscript};
+pub use bandwidth::BandwidthAllocation;
+pub use dma::DmaEngine;
 pub use dram::DramModel;
 pub use kv::KvPool;
 pub use paged::{fnv1a_64, prefix_key, BlockTable, PagedKvPool, PrefixAttach, SpillTicket};
-pub use traffic::{TrafficClass, TrafficStats};

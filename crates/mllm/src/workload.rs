@@ -14,10 +14,8 @@
 
 use crate::config::MllmConfig;
 
-/// Semantic class of the DRAM traffic an operator's weights generate.
-///
-/// Mirrors `edgemm_mem::TrafficClass` (the memory crate must not depend on the
-/// workload crate). No code converts: op costs carry this, DMA requests that.
+/// Semantic class of the DRAM traffic an operator's weights generate (the
+/// Fig. 2c breakdown).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TrafficClass {
     /// Feed-forward network weights.

@@ -1,13 +1,9 @@
-//! Baseline pruning schemes the paper compares against.
+//! The fixed-ratio pruning baseline the paper compares against.
 //!
-//! * [`FixedRatioPruning`] — keep a fixed fraction of channels per layer
-//!   regardless of their distribution (the "fixed 0.1" / "fixed 0.7" curves
-//!   of Fig. 12b). This is the "fixed empirical k" approach of prior work
-//!   the paper cites (Wanda-style Top-k with constant k).
-//! * [`ThresholdPruning`] — CATS-style: keep every channel whose magnitude
-//!   exceeds a fraction of the per-layer maximum, with no Top-k budget.
-
-use edgemm_core::float::is_zero_f32;
+//! [`FixedRatioPruning`] keeps a fixed fraction of channels per layer
+//! regardless of their distribution (the "fixed 0.1" / "fixed 0.7" curves
+//! of Fig. 12b). This is the "fixed empirical k" approach of prior work the
+//! paper cites (Wanda-style Top-k with constant k).
 
 use crate::topk::{top_k_indices, PruneSelection};
 use crate::Pruner;
@@ -57,48 +53,6 @@ impl Pruner for FixedRatioPruning {
     }
 }
 
-/// Keep every channel whose magnitude exceeds `max|v| / threshold`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThresholdPruning {
-    threshold: f32,
-}
-
-impl ThresholdPruning {
-    /// Create a pruner with the given threshold divisor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is not positive.
-    pub fn new(threshold: f32) -> Self {
-        assert!(threshold > 0.0, "threshold must be positive");
-        ThresholdPruning { threshold }
-    }
-}
-
-impl Pruner for ThresholdPruning {
-    fn select(&mut self, _layer: usize, activations: &[f32]) -> PruneSelection {
-        let total = activations.len();
-        let max_abs = activations.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        if is_zero_f32(max_abs) {
-            return PruneSelection::keep_all(total);
-        }
-        let cut = max_abs / self.threshold;
-        let kept = activations
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.abs() > cut)
-            .map(|(i, _)| i)
-            .collect();
-        PruneSelection { kept, total }
-    }
-
-    fn reset(&mut self) {}
-
-    fn name(&self) -> &str {
-        "threshold"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,23 +95,9 @@ mod tests {
     }
 
     #[test]
-    fn threshold_keeps_only_prominent_channels() {
-        let mut p = ThresholdPruning::new(4.0);
-        // max = 8, cut = 2: keeps 8.0 and 3.0, prunes 1.0 and 0.5.
-        let sel = p.select(0, &[8.0, 1.0, 3.0, 0.5]);
-        assert_eq!(sel.kept, vec![0, 2]);
-    }
-
-    #[test]
-    fn threshold_all_zero_keeps_everything() {
-        let mut p = ThresholdPruning::new(16.0);
-        let sel = p.select(0, &[0.0, 0.0]);
-        assert_eq!(sel.kept.len(), 2);
-    }
-
-    #[test]
     fn names_distinguish_baselines() {
-        assert_eq!(FixedRatioPruning::new(0.1).name(), "fixed-ratio");
-        assert_eq!(ThresholdPruning::new(16.0).name(), "threshold");
+        let fixed = FixedRatioPruning::new(0.1);
+        assert_eq!(fixed.name(), "fixed-ratio");
+        assert_ne!(fixed.name(), crate::DynamicTopK::paper_default(8).name());
     }
 }

@@ -13,7 +13,6 @@
 //!   and shrinks as deeper layers exhibit more prominent outliers;
 //! * [`FixedRatioPruning`] — the fixed-ratio baseline the paper compares
 //!   against in Fig. 12b (ratios 0.1 and 0.7);
-//! * [`ThresholdPruning`] — a CATS-style magnitude-threshold baseline;
 //! * [`metrics`] — cosine similarity and kurtosis, the two quantities
 //!   plotted in Fig. 12.
 
@@ -26,7 +25,7 @@ pub mod metrics;
 mod topk;
 
 pub use dynamic::{DynamicTopK, DynamicTopKConfig, LayerDecision};
-pub use fixed::{FixedRatioPruning, ThresholdPruning};
+pub use fixed::FixedRatioPruning;
 pub use topk::{top_k_indices, PruneSelection};
 
 /// Strategy trait implemented by every pruning scheme in this crate.

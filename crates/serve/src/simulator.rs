@@ -60,10 +60,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use edgemm_arch::ClusterKind;
 use edgemm_core::float::is_one;
 use edgemm_core::units::{clock_hz, Bytes, BytesPerToken, Cycles, Tokens};
-use edgemm_mem::{
-    prefix_key, BlockTable, DmaEngine, DmaRequest, KvPool, PagedKvPool, SpillTicket,
-    TrafficClass as MemTrafficClass,
-};
+use edgemm_mem::{prefix_key, BlockTable, DmaEngine, KvPool, PagedKvPool, SpillTicket};
 use edgemm_mllm::{MllmConfig, ModelWorkload, Phase, TrafficClass};
 use edgemm_sim::{DecodeOptions, Machine, OpCost, PruningEffect};
 
@@ -515,7 +512,21 @@ impl<'a> ServeSimulator<'a> {
         clock_hz(self.machine.config().chip.clock_mhz)
     }
 
+    /// Price `request` into its in-flight state. Every engine, the
+    /// reference one and every fleet replica admit through here, so this is
+    /// where a bad arrival is caught: `ServeRequest::arrival_s` is a public
+    /// field, and a NaN or negative value would otherwise round to cycle 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request arrives at a negative or non-finite time.
     fn admit(&self, request: &ServeRequest, memo: &mut DecodeMemo) -> InFlight {
+        assert!(
+            request.arrival_s >= 0.0 && request.arrival_s.is_finite(),
+            "request {} arrives at invalid time {}",
+            request.id,
+            request.arrival_s
+        );
         let workload = ModelWorkload::new(
             self.model.clone(),
             request.text_tokens,
@@ -898,8 +909,7 @@ impl<'a> ServeSimulator<'a> {
         if bytes.is_zero() {
             return Cycles::ZERO;
         }
-        let transcript = engine.submit(DmaRequest::new(bytes, MemTrafficClass::KvCache), now);
-        transcript.end_cycle - now
+        engine.transfer(bytes, now) - now
     }
 
     /// Isolated end-to-end cycles of one request (no queueing, no batching):
@@ -1002,8 +1012,8 @@ impl<'a> ServeSimulator<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if two requests share an id or a policy returns an
-    /// out-of-range index.
+    /// Panics if a request arrives at a negative or non-finite time, two
+    /// requests share an id or a policy returns an out-of-range index.
     #[cfg(any(test, feature = "reference"))]
     pub fn run_reference(
         &self,

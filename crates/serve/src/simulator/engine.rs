@@ -436,9 +436,9 @@ impl ServeScratch {
 /// grouped by kind (arrivals in id order, then the chunk completion, then
 /// the step completion — the reference engine's drain order), dispatches
 /// the CC stage, then the MC stage, and records one [`QueueSample`]. An
-/// event costs the same however much model time the run spans (the DMA
-/// engine jumps its throttling window across an idle gap in one step) and
-/// however many arrivals are still pending.
+/// event costs the same however much model time the run spans (a DMA
+/// transfer queues only behind its channel's previous one) and however
+/// many arrivals are still pending.
 #[derive(Debug)]
 pub struct ServeEngine<'e, 'a> {
     simulator: &'e ServeSimulator<'a>,
@@ -476,8 +476,8 @@ impl<'a> ServeSimulator<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if two requests share an id or a policy returns an
-    /// out-of-range index.
+    /// Panics if a request arrives at a negative or non-finite time, two
+    /// requests share an id or a policy returns an out-of-range index.
     pub fn run(&self, requests: &[ServeRequest], policy: &dyn SchedulePolicy) -> ServeReport {
         self.run_with_scratch(requests, policy, &mut ServeScratch::new())
     }
@@ -488,8 +488,8 @@ impl<'a> ServeSimulator<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if two requests share an id or a policy returns an
-    /// out-of-range index.
+    /// Panics if a request arrives at a negative or non-finite time, two
+    /// requests share an id or a policy returns an out-of-range index.
     pub fn run_with_scratch(
         &self,
         requests: &[ServeRequest],
@@ -534,6 +534,11 @@ impl<'a> ServeSession<'a> {
 
     /// Serve one trace: [`ServeSimulator::run_with_scratch`] under the
     /// session's policy, byte-identical to a one-shot [`ServeSimulator::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request arrives at a negative or non-finite time or two
+    /// requests share an id.
     pub fn serve(&mut self, requests: &[ServeRequest]) -> ServeReport {
         self.simulator
             .run_with_scratch(requests, self.policy.policy(), &mut self.scratch)
@@ -565,6 +570,10 @@ impl ServeEngine<'_, '_> {
     /// reset, re-push every request, and re-process on the next advance.
     /// Either way the finished report is byte-identical to a one-shot run
     /// of every pushed request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request arrives at a negative or non-finite time.
     pub fn push(&mut self, request: &ServeRequest) {
         let s = &mut *self.scratch;
         let state = self.simulator.admit(request, &mut s.decode_memo);

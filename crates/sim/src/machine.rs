@@ -147,10 +147,10 @@ pub struct Machine {
     config: SimConfig,
     explorer: MappingExplorer,
     // Memoised op costs. `op_cost` is a pure function of the [`CostKey`]
-    // and the machine configuration, so a cached value is byte-identical to
-    // a recomputed one; the cache is cleared whenever the configuration
-    // changes (`set_allocation`). A `Mutex` (not `RefCell`) keeps `Machine:
-    // Sync` for callers that share one machine across threads.
+    // and the machine configuration, which is fixed at construction, so a
+    // cached value is byte-identical to a recomputed one. A `Mutex` (not
+    // `RefCell`) keeps `Machine: Sync` for callers that share one machine
+    // across threads.
     cost_cache: Mutex<HashMap<CostKey, OpCost>>,
 }
 
@@ -180,14 +180,6 @@ impl Machine {
     /// The machine's configuration.
     pub fn config(&self) -> &SimConfig {
         &self.config
-    }
-
-    /// Replace the bandwidth allocation (used by the dynamic manager).
-    pub fn set_allocation(&mut self, allocation: BandwidthAllocation) {
-        self.config.allocation = allocation;
-        // The DRAM share enters every op cost; drop the now-stale memo.
-        // lint:allow(no-unwrap): poisoning only follows a prior panic
-        self.cost_cache.lock().expect("cost cache poisoned").clear();
     }
 
     fn cores_of(&self, kind: ClusterKind) -> usize {
@@ -634,11 +626,15 @@ mod tests {
     #[test]
     fn giving_mc_more_bandwidth_speeds_decode() {
         let w = workload(16);
-        let mut m = hetero();
-        m.set_allocation(BandwidthAllocation::equal());
-        let equal = m.run_decode_on(&w, ClusterKind::MemoryCentric, DecodeOptions::baseline());
-        m.set_allocation(BandwidthAllocation::from_ratio(1.0, 7.0));
-        let skewed = m.run_decode_on(&w, ClusterKind::MemoryCentric, DecodeOptions::baseline());
+        let decode = |allocation| {
+            Machine::new(SimConfig {
+                allocation,
+                ..SimConfig::paper_default()
+            })
+            .run_decode_on(&w, ClusterKind::MemoryCentric, DecodeOptions::baseline())
+        };
+        let equal = decode(BandwidthAllocation::equal());
+        let skewed = decode(BandwidthAllocation::from_ratio(1.0, 7.0));
         assert!(skewed.cycles < equal.cycles);
     }
 
