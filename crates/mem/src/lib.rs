@@ -19,12 +19,14 @@
 //!    at its side's static share, and a [`DmaEngine`] is a serial channel
 //!    at one share.
 //!
-//! On top of the raw timing models sit the KV-cache capacity models: the
-//! [`KvPool`] — a byte-budgeted, two-tier (on-chip SRAM + DRAM spill)
-//! account of resident KV cache that the serving layer uses to admit decode
-//! streams by memory headroom instead of a constant batch cap — and its
-//! block-granular refinement, the [`PagedKvPool`], which allocates KV in
-//! fixed-size token blocks lazily as decode progresses, shares refcounted
+//! On top of the raw timing models sits the KV-cache capacity model that
+//! the serving layer uses to admit decode streams by memory headroom
+//! instead of a constant batch cap. A [`KvPool`] configures it: a byte
+//! budget with two tiers (on-chip SRAM + DRAM spill). A [`PagedKvPool`]
+//! over that configuration is the one account of resident KV. It
+//! allocates KV in token blocks: one-token blocks grown to a stream's peak
+//! make a whole-request reservation, and larger blocks grown lazily as
+//! decode progresses make a paged allocator. It shares refcounted
 //! prompt-prefix blocks across requests (deterministic [`prefix_key`]
 //! hashing, copy-on-write divergence) and supports mid-decode eviction of
 //! a running stream — by DMA spill-and-restore when a spill area is

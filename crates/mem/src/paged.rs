@@ -1,23 +1,28 @@
 //! Block-granular ("paged") KV-cache allocation with mid-decode eviction,
 //! cross-request prefix sharing and spill-and-restore.
 //!
-//! [`KvPool`](crate::KvPool) admits decode streams by reserving each
-//! stream's *whole-request peak* footprint up front — conservative and
-//! simple, but it refuses joins that would fit right now and it can never
-//! take memory back from a running stream. [`PagedKvPool`] is the
-//! vLLM-style refinement: KV is allocated in fixed-size **token blocks**,
-//! lazily, as decode actually extends each stream's context. A stream's
-//! [`BlockTable`] grows one block at a time, so
+//! [`PagedKvPool`] is the serving stack's one KV account: the byte budget,
+//! on-chip tier and spill penalty of a [`KvPool`](crate::KvPool), allocated
+//! in fixed-size **token blocks**. A stream's [`BlockTable`] grows one block
+//! at a time, and how far it grows is the caller's choice:
 //!
-//! * a join needs only the blocks for its *current* context (the prompt
-//!   prefix plus whatever it has generated so far), not its peak;
-//! * occupancy tracks real resident KV, so more streams share the same
-//!   byte budget; and
-//! * under pressure the pool can **evict** a running stream — either
-//!   spill-and-restore ([`Self::try_spill`] / [`Self::try_restore`], when a
-//!   DRAM spill area is configured) or recompute ([`Self::evict`]: blocks
-//!   freed, request re-queued for re-prefill) — instead of blocking a
-//!   higher-priority arrival behind a full drain.
+//! * **Whole-request reservation**: one-token blocks, and a table grown to
+//!   the stream's peak context when it joins. Occupancy is then exactly
+//!   the reserved bytes, and a join either fits the budget or waits.
+//!   Conservative and simple, but it refuses joins that would fit right
+//!   now and never takes memory back from a running stream. The serve
+//!   engine runs its unpaged configurations this way.
+//! * **Paging**, the vLLM-style refinement: KV is allocated lazily, as
+//!   decode actually extends each stream's context, so
+//!   - a join needs only the blocks for its *current* context (the prompt
+//!     prefix plus whatever it has generated so far), not its peak;
+//!   - occupancy tracks real resident KV, so more streams share the same
+//!     byte budget; and
+//!   - under pressure the pool can **evict** a running stream — either
+//!     spill-and-restore ([`Self::try_spill`] / [`Self::try_restore`],
+//!     when a DRAM spill area is configured) or recompute
+//!     ([`Self::evict`]: blocks freed, request re-queued for re-prefill) —
+//!     instead of blocking a higher-priority arrival behind a full drain.
 //!
 //! On top of the per-stream tables sits a **shared-prefix registry**
 //! ([`Self::try_attach_prefix`]): requests that declare a common prompt
@@ -29,7 +34,7 @@
 //! copies the partially filled tail block at a price the caller charges to
 //! the DMA engine (copy-on-write).
 //!
-//! The pool keeps the two-tier spill model of [`KvPool`](crate::KvPool):
+//! The pool applies the two-tier spill model of [`KvPool`](crate::KvPool):
 //! occupied bytes up to the on-chip tier are read back each step without
 //! touching DRAM, everything above re-streams at the spill penalty, and the
 //! per-step scaling applied to a batch's KV DRAM cycles is
@@ -42,13 +47,15 @@
 //! tail block occupies a whole block — the internal-fragmentation cost of
 //! paging, bounded by `block_tokens − 1` tokens per stream).
 //!
-//! One escape hatch mirrors the flat pool's: a stream that holds *every*
-//! allocated block (it has the pool to itself) may grow past the budget, so
-//! an oversized request degrades to running solo instead of deadlocking.
+//! One escape hatch keeps an oversized request from deadlocking: a stream
+//! that holds *every* allocated block (it has the pool to itself, which
+//! for an empty table means the pool is empty) may grow past the budget,
+//! so the request degrades to running solo.
 
+use edgemm_core::float::is_one;
 use edgemm_core::units::{Bytes, BytesPerToken, Tokens};
 
-use crate::kv::{spill_traffic_factor, KvPool};
+use crate::kv::KvPool;
 
 /// Deterministic 64-bit FNV-1a over a byte slice.
 ///
@@ -196,9 +203,7 @@ impl BlockTable {
 /// [`Self::try_attach_prefix`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PagedKvPool {
-    budget_bytes: Bytes,
-    onchip_bytes: Bytes,
-    spill_penalty: f64,
+    kv: KvPool,
     block_tokens: usize,
     block_bytes: Bytes,
     /// Physical blocks allocated: every stream's private blocks plus each
@@ -235,9 +240,7 @@ impl PagedKvPool {
             "KV bytes per token must be positive"
         );
         PagedKvPool {
-            budget_bytes: pool.budget_bytes(),
-            onchip_bytes: pool.onchip_bytes(),
-            spill_penalty: pool.spill_penalty(),
+            kv: pool,
             block_tokens,
             block_bytes: bytes_per_token * block_tokens,
             occupied_blocks: 0,
@@ -274,7 +277,23 @@ impl PagedKvPool {
 
     /// The byte budget ([`Bytes::MAX`] when unbounded).
     pub fn budget_bytes(&self) -> Bytes {
-        self.budget_bytes
+        self.kv.budget_bytes()
+    }
+
+    /// Whether `blocks` allocated blocks fit under the budget. A byte count
+    /// past `u64` does not fit, not even an unbounded budget.
+    pub fn fits_budget(&self, blocks: u64) -> bool {
+        self.block_bytes
+            .checked_mul(blocks)
+            .is_some_and(|bytes| bytes <= self.kv.budget_bytes())
+    }
+
+    /// Whether `bytes` more fit in the spill area beside the images parked
+    /// there.
+    fn spill_fits(&self, bytes: Bytes) -> bool {
+        self.spill_used_bytes
+            .checked_add(bytes)
+            .is_some_and(|used| used <= self.spill_capacity_bytes)
     }
 
     /// Blocks needed to hold `tokens` cached tokens.
@@ -441,8 +460,7 @@ impl PagedKvPool {
         let fits = self
             .occupied_blocks
             .checked_add(shared_full)
-            .and_then(|blocks| self.block_bytes.checked_mul(blocks))
-            .is_some_and(|bytes| bytes <= self.budget_bytes);
+            .is_some_and(|blocks| self.fits_budget(blocks));
         if !fits && !self.sole_owner(table) {
             return None;
         }
@@ -484,13 +502,11 @@ impl PagedKvPool {
             return true;
         }
         let delta = needed - table.blocks;
-        let solo = self.sole_owner(table);
         let fits = self
             .occupied_blocks
             .checked_add(delta)
-            .and_then(|blocks| self.block_bytes.checked_mul(blocks))
-            .is_some_and(|bytes| bytes <= self.budget_bytes);
-        if !fits && !solo {
+            .is_some_and(|blocks| self.fits_budget(blocks));
+        if !fits && !self.sole_owner(table) {
             return false;
         }
         self.occupied_blocks += delta;
@@ -570,11 +586,7 @@ impl PagedKvPool {
     pub fn try_spill(&mut self, table: &mut BlockTable) -> Option<SpillTicket> {
         debug_assert!(!table.is_empty(), "spilling an empty table");
         let bytes = self.block_bytes.checked_mul(table.blocks)?;
-        let fits = self
-            .spill_used_bytes
-            .checked_add(bytes)
-            .is_some_and(|used| used <= self.spill_capacity_bytes);
-        if !fits {
+        if !self.spill_fits(bytes) {
             return None;
         }
         let ticket = SpillTicket {
@@ -606,8 +618,7 @@ impl PagedKvPool {
         let fits = self
             .occupied_blocks
             .checked_add(ticket.blocks)
-            .and_then(|blocks| self.block_bytes.checked_mul(blocks))
-            .is_some_and(|bytes| bytes <= self.budget_bytes);
+            .is_some_and(|blocks| self.fits_budget(blocks));
         if !fits && self.occupied_blocks != 0 && !force {
             return false;
         }
@@ -636,11 +647,7 @@ impl PagedKvPool {
         let tokens = Tokens::new(tokens.get().max(table.tokens.get()));
         let blocks = self.blocks_for(tokens).max(table.blocks);
         let bytes = self.block_bytes.checked_mul(blocks)?;
-        let fits = self
-            .spill_used_bytes
-            .checked_add(bytes)
-            .is_some_and(|used| used <= self.spill_capacity_bytes);
-        if !fits {
+        if !self.spill_fits(bytes) {
             return None;
         }
         self.spill_used_bytes += bytes;
@@ -665,11 +672,7 @@ impl PagedKvPool {
         let Some(delta) = self.block_bytes.checked_mul(blocks - ticket.blocks) else {
             return false;
         };
-        let fits = self
-            .spill_used_bytes
-            .checked_add(delta)
-            .is_some_and(|used| used <= self.spill_capacity_bytes);
-        if !fits {
+        if !self.spill_fits(delta) {
             return false;
         }
         self.spill_used_bytes += delta;
@@ -683,10 +686,26 @@ impl PagedKvPool {
     }
 
     /// The multiplier the current occupancy applies to a decode step's KV
-    /// DRAM cycles — the same two-tier spill formula as
-    /// [`KvPool::kv_traffic_factor`], over block-granular occupancy.
+    /// DRAM cycles: the fraction of occupied bytes that spilled past the
+    /// on-chip tier, times the spill penalty (the module docs' formula).
+    /// 1.0 for an empty pool, or with no on-chip tier and a unit penalty
+    /// (the unbounded default); below 1.0 when most of the batch's KV fits
+    /// on chip; above 1.0 when a penalised majority spills.
     pub fn kv_traffic_factor(&self) -> f64 {
-        spill_traffic_factor(self.occupied_bytes(), self.onchip_bytes, self.spill_penalty)
+        let occupied = self.occupied_bytes();
+        let (onchip, penalty) = (self.kv.onchip_bytes(), self.kv.spill_penalty());
+        if occupied.is_zero() || (onchip.is_zero() && is_one(penalty)) {
+            return 1.0;
+        }
+        occupied.saturating_sub(onchip).ratio(occupied) * penalty
+    }
+}
+
+impl Default for PagedKvPool {
+    /// An empty, unbounded pool of one-token blocks at one byte per token:
+    /// a placeholder for a holder that builds its real pool per run.
+    fn default() -> Self {
+        Self::new(KvPool::unbounded(), 1, Bytes::per_token(1))
     }
 }
 
@@ -738,6 +757,26 @@ mod tests {
         assert!(a.is_empty());
         assert!(p.try_grow_to(&mut b, Tokens::new(6)));
         assert_eq!(p.peak_bytes(), 100);
+
+        // One-token blocks grown to a stream's peak are a whole-request
+        // reservation: occupancy is exactly the reserved bytes.
+        let mut p = pool(100, 1, 10);
+        let mut a = BlockTable::empty();
+        let mut b = BlockTable::empty();
+        assert!(p.try_grow_to(&mut a, Tokens::new(6)));
+        assert_eq!(p.occupied_bytes(), 60);
+        assert!(
+            !p.try_grow_to(&mut b, Tokens::new(5)),
+            "over-budget reservation admitted"
+        );
+        assert_eq!(b, BlockTable::empty(), "refused reservation mutated");
+        assert_eq!(p.occupied_bytes(), 60);
+        assert!(p.try_grow_to(&mut b, Tokens::new(4)));
+        assert_eq!(p.occupied_bytes(), 100, "the budget is usable to the byte");
+        p.release(&mut a);
+        assert_eq!(p.occupied_bytes(), 40);
+        assert!(p.try_grow_to(&mut a, Tokens::new(6)));
+        assert_eq!(p.peak_bytes(), 100);
     }
 
     #[test]
@@ -762,6 +801,30 @@ mod tests {
             !p.try_grow_to(&mut c, Tokens::new(40)),
             "escape hatch requires sole ownership"
         );
+
+        // With one-token reservations the hatch opens exactly on an empty
+        // pool.
+        let mut p = pool(100, 1, 10);
+        let mut a = BlockTable::empty();
+        let mut b = BlockTable::empty();
+        assert!(
+            p.try_grow_to(&mut a, Tokens::new(25)),
+            "solo oversized reservation must run"
+        );
+        assert_eq!(p.occupied_bytes(), 250);
+        assert!(
+            !p.try_grow_to(&mut b, Tokens::new(1)),
+            "nothing may join an oversized solo"
+        );
+        assert_eq!(b, BlockTable::empty(), "refused reservation mutated");
+        p.release(&mut a);
+        assert_eq!(p.occupied_bytes(), 0);
+        assert!(p.try_grow_to(&mut b, Tokens::new(1)));
+        assert!(
+            !p.try_grow_to(&mut a, Tokens::new(25)),
+            "escape hatch requires an empty pool"
+        );
+        assert_eq!(p.occupied_bytes(), 10);
     }
 
     #[test]
@@ -804,6 +867,7 @@ mod tests {
             assert!(p.try_grow_to(t, Tokens::new(10_000)));
             assert_eq!(p.kv_traffic_factor(), 1.0);
         }
+        assert_eq!(p.peak_bytes(), (4 * 10_000) << 20);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!             │ prefilled ("ready")    (TTFT ends with the last chunk)
 //!             ▼ SchedulePolicy::choose_join (same discipline, both stages)
 //!  ┌─ MC stage (stream batch) ┐   continuous batching at step granularity:
-//!  │ step: one token for every│   join admitted by KvPool byte headroom
+//!  │ step: one token for every│   join admitted by KV pool byte headroom
 //!  │ stream in the batch      │   (+ optional batch_cap override); blocked
 //!  └──────────┬───────────────┘   joins wait for a stream to release KV
 //!             ▼
@@ -57,11 +57,13 @@
 //! * the **MC stage** decodes with *continuous batching*: every step
 //!   generates one token for each stream in the batch, finished requests
 //!   leave at step boundaries and prefilled requests join as long as the
-//!   [`KvPool`] has headroom for their peak KV footprint (join order picked
-//!   by [`SchedulePolicy::choose_join`]); [`ServeConfig::batch_cap`] remains
-//!   as an optional hard override on top of the memory model. With
-//!   [`ServeConfig::block_tokens`] the pool is *paged* ([`PagedKvPool`]):
-//!   KV is allocated in fixed token blocks lazily as each context grows,
+//!   run's KV pool has headroom for their peak KV footprint (join order
+//!   picked by [`SchedulePolicy::choose_join`]); [`ServeConfig::batch_cap`]
+//!   remains as an optional hard override on top of the memory model. The
+//!   pool is one [`PagedKvPool`] over the [`KvPool`] budget: unpaged, it
+//!   has one-token blocks and a join reserves the stream's peak. With
+//!   [`ServeConfig::block_tokens`] the pool is *paged*: KV is allocated in
+//!   blocks of that many tokens lazily as each context grows,
 //!   steps are priced at each stream's actual context length, and under
 //!   pressure a strictly-less-urgent running stream is **evicted** — by DMA
 //!   spill-and-restore when [`ServeConfig::spill_capacity_bytes`] provides
@@ -97,10 +99,11 @@
 //! — the weight fetch is issued once and shared by the whole batch (the
 //! paper's Fig. 9c stream-batch weight reuse) while compute and KV-cache
 //! traffic repeat per stream, each stream owning its cache. The `kv_factor`
-//! is the [`KvPool`]'s spill model: KV resident in the MC clusters' SRAM
-//! tier is read back without touching DRAM, KV spilled past it re-streams
-//! every step at a penalty (scattered per-stream blocks, not one bulk
-//! burst). With the unbounded default pool the factor is exactly 1.0.
+//! is the pool's spill model ([`PagedKvPool::kv_traffic_factor`]): KV
+//! resident in the MC clusters' SRAM tier is read back without touching
+//! DRAM, KV spilled past it re-streams every step at a penalty (scattered
+//! per-stream blocks, not one bulk burst). With the unbounded default pool
+//! the factor is exactly 1.0.
 //!
 //! The engine evaluates the same sum factored. A weight-facing operator
 //! carries no KV traffic and costs the same for every stream, and each

@@ -125,9 +125,9 @@ pub struct ServeReport {
     /// end of every run — every spilled stream restores exactly once
     /// (property-tested conservation).
     pub restored_kv_bytes: Bytes,
-    /// High-water mark of KV-cache bytes reserved in the pool at once.
-    /// With a bounded [`edgemm_mem::KvPool`] this stays within the budget
-    /// (property-tested), except for a single oversized stream admitted
+    /// High-water mark of KV-cache bytes resident in the run's pool at
+    /// once. Under a bounded [`edgemm_mem::KvPool`] budget this stays within
+    /// it (property-tested), except for a single oversized stream admitted
     /// solo.
     pub peak_kv_bytes: Bytes,
     /// Total output tokens generated across all completed requests.

@@ -44,18 +44,30 @@ pub struct ServeRequest {
     pub shared_prefix: Option<SharedPrefix>,
 }
 
+/// Panics unless request `id` arrives at a finite, non-negative number of
+/// seconds: a NaN or negative arrival would round to cycle 0, and an
+/// infinite one has no cycle. [`ServeRequest::new`] and every engine's
+/// admission check arrivals here, so a bad one fails with the same message
+/// wherever it enters.
+pub(crate) fn assert_valid_arrival(id: u64, arrival_s: f64) {
+    assert!(
+        arrival_s >= 0.0 && arrival_s.is_finite(),
+        "request {id} arrives at invalid time {arrival_s}"
+    );
+}
+
 impl ServeRequest {
     /// Create a best-effort request (no deadlines, standard priority).
     ///
     /// # Panics
     ///
-    /// Panics if `output_tokens` is zero or `arrival_s` is negative/NaN.
+    /// Panics if `output_tokens` is zero, or with "request {id} arrives at
+    /// invalid time {t}" if `arrival_s` is negative, NaN or infinite (the
+    /// message every engine's admission gives a struct literal with such
+    /// an arrival).
     pub fn new(id: u64, arrival_s: f64, text_tokens: usize, output_tokens: usize) -> Self {
         assert!(output_tokens > 0, "must generate at least one token");
-        assert!(
-            arrival_s >= 0.0,
-            "arrival time must be a non-negative number of seconds"
-        );
+        assert_valid_arrival(id, arrival_s);
         ServeRequest {
             id,
             arrival_s,
@@ -244,8 +256,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-negative")]
+    #[should_panic(expected = "request 0 arrives at invalid time -1")]
     fn negative_arrival_rejected() {
         ServeRequest::new(0, -1.0, 8, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "request 7 arrives at invalid time inf")]
+    fn infinite_arrival_rejected_at_construction() {
+        ServeRequest::new(7, f64::INFINITY, 8, 4);
     }
 }

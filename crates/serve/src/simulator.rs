@@ -12,12 +12,16 @@
 //!   a long background prefill mid-flight instead of waiting out its whole
 //!   encode + prefill block. Unchunked prefill is the one-chunk special
 //!   case and reproduces the pre-chunking simulator exactly.
-//! * **KV-occupancy admission** ([`ServeConfig::kv`]): a prefilled request
-//!   joins the decode batch only while the [`KvPool`] has headroom for its
-//!   peak KV footprint; when the pool is full the request blocks in the
-//!   ready queue until a finishing stream releases bytes. The constant
-//!   [`ServeConfig::batch_cap`] is retained only as an optional override
-//!   on top of the memory model.
+//! * **KV-occupancy admission** ([`ServeConfig::kv`]): every run accounts
+//!   resident KV in one [`PagedKvPool`] over the configured budget, and a
+//!   prefilled request joins the decode batch only while the pool has
+//!   headroom for it. Unpaged, the pool has one-token blocks and a join
+//!   reserves the request's peak KV footprint; paged
+//!   ([`ServeConfig::block_tokens`]), it allocates the current context and
+//!   grows block by block. A join that does not fit blocks in the ready
+//!   queue until a finishing stream releases bytes (or, paged, revokes a
+//!   less urgent stream's slot). The constant [`ServeConfig::batch_cap`]
+//!   is retained only as an optional override on top of the memory model.
 //!
 //! Decoding is *continuously batched* at step granularity: every step
 //! generates one token for every stream in the batch, finished requests
@@ -47,7 +51,7 @@
 //! over [`Machine::decode_step_costs_at`] — the weight fetch is shared by
 //! the batch (the Fig. 9c weight reuse), compute and KV-cache traffic
 //! repeat per stream, and the KV traffic is scaled by the pool's spill
-//! state ([`KvPool::kv_traffic_factor`]). The engine prices the same sum
+//! state ([`PagedKvPool::kv_traffic_factor`]). The engine prices the same sum
 //! factored: a weight term fixed by the batch size (`StepShape`) plus, for
 //! each of the two KV operators a layer runs, the op count times one
 //! batch-summed term over each stream's context. The reference engine keeps
@@ -68,7 +72,7 @@ use crate::metrics::{QueueSample, ServeReport};
 use crate::policy::QueuedRequest;
 #[cfg(any(test, feature = "reference"))]
 use crate::policy::SchedulePolicy;
-use crate::request::{CompletedRequest, RejectedRequest, ServeRequest};
+use crate::request::{assert_valid_arrival, CompletedRequest, RejectedRequest, ServeRequest};
 use crate::slo::AdmissionControl;
 
 mod engine;
@@ -96,19 +100,22 @@ pub struct ServeConfig {
     /// urgent arrivals preempt long prefills at chunk boundaries at the
     /// price of re-streaming the layer weights once per chunk.
     pub chunk_tokens: Option<usize>,
-    /// The KV-cache capacity model admitting decode streams by byte
-    /// headroom ([`KvPool::unbounded`] reproduces the pre-pool behaviour).
+    /// The KV-cache budget, on-chip tier and spill penalty that admit decode
+    /// streams by byte headroom. Each run accounts resident KV against it
+    /// in a [`PagedKvPool`] whose blocks [`Self::block_tokens`] sizes
+    /// ([`KvPool::unbounded`] reproduces the pre-pool behaviour).
     pub kv: KvPool,
     /// Block size, in cached tokens, of *paged* KV allocation. `None` (the
-    /// default) keeps whole-request peak reservations: a stream reserves
-    /// `kv_cache_bytes(prompt + output)` when it joins the decode batch and
-    /// holds it to completion. `Some(n)` turns the [`Self::kv`] budget into
-    /// a block-granular [`PagedKvPool`]: streams allocate `n`-token blocks
-    /// lazily as decode extends their context, every decode step is priced
-    /// at each stream's *actual* context length (not the request average),
-    /// and under KV or slot pressure a strictly-less-urgent stream can be
-    /// **evicted mid-decode** — its blocks freed and the request re-queued
-    /// for re-prefill over its accumulated context (see `docs/memory.md`).
+    /// default) keeps whole-request peak reservations: the run's pool has
+    /// one-token blocks, a stream grows its table to `prompt + output`
+    /// tokens when it joins the decode batch and holds it to completion,
+    /// and every decode step prices the request's average context.
+    /// `Some(n)` makes the pool block-granular: streams allocate `n`-token
+    /// blocks lazily as decode extends their context, every decode step is
+    /// priced at each stream's *actual* context length, and under KV or
+    /// slot pressure a strictly-less-urgent stream can be **evicted
+    /// mid-decode** — its blocks freed and the request re-queued for
+    /// re-prefill over its accumulated context (see `docs/memory.md`).
     pub block_tokens: Option<usize>,
     /// Share KV blocks across requests that declare the same prompt prefix
     /// ([`crate::SharedPrefix`]): the full blocks of a tenant's system
@@ -245,6 +252,13 @@ impl ServeConfig {
         ServeConfig { admission, ..self }
     }
 
+    /// Whether KV is paged ([`Self::block_tokens`]): joins allocate their
+    /// context rather than reserve their peak, steps price each stream's
+    /// actual context, and decode slots can be revoked.
+    fn paged(&self) -> bool {
+        self.block_tokens.is_some()
+    }
+
     /// Whether CC dispatches consult the pool (and may be refused): prefix
     /// attaches and eager chunk accounting allocate blocks there.
     fn cc_gated(&self) -> bool {
@@ -288,9 +302,6 @@ struct InFlight {
     remaining_prefill_cycles: Cycles,
     /// Total CC-stage cycles (all chunks).
     prefill_cycles: Cycles,
-    /// Peak KV-cache footprint reserved in the pool while decoding
-    /// (whole-request reservations; unused by the paged allocator).
-    kv_bytes: Bytes,
     /// The request's average decode context (prompt plus half the output):
     /// the context an unpaged step prices its KV operators at.
     average_context: usize,
@@ -301,7 +312,8 @@ struct InFlight {
     /// its KV must be recomputed, so the accumulated context of a stream is
     /// always `prompt_tokens + generated`.
     generated: usize,
-    /// Paged-mode page table of the stream's resident KV blocks.
+    /// The page table of the stream's resident KV blocks (one-token blocks
+    /// holding its whole-request reservation when unpaged).
     table: BlockTable,
     /// The stream's parked KV image while spill-and-restore evicted it:
     /// the ticket to restore from at re-admission. `None` while resident.
@@ -343,6 +355,17 @@ impl InFlight {
             self.context_tokens()
         } else {
             self.average_context
+        }
+    }
+
+    /// The tokens a join grows the stream's table to: its context when
+    /// paged, otherwise its whole-request peak (prompt plus every output
+    /// token), which it then holds to completion — a reservation.
+    fn join_tokens(&self, paged: bool) -> usize {
+        if paged {
+            self.context_tokens()
+        } else {
+            self.prompt_tokens + self.request.output_tokens
         }
     }
 
@@ -521,12 +544,7 @@ impl<'a> ServeSimulator<'a> {
     ///
     /// Panics if the request arrives at a negative or non-finite time.
     fn admit(&self, request: &ServeRequest, memo: &mut DecodeMemo) -> InFlight {
-        assert!(
-            request.arrival_s >= 0.0 && request.arrival_s.is_finite(),
-            "request {} arrives at invalid time {}",
-            request.id,
-            request.arrival_s
-        );
+        assert_valid_arrival(request.id, request.arrival_s);
         let workload = ModelWorkload::new(
             self.model.clone(),
             request.text_tokens,
@@ -553,13 +571,6 @@ impl<'a> ServeSimulator<'a> {
         });
         let chunk_cycles = self.prefill_chunk_cycles(&workload, setup_cycles);
         let prefill_cycles: Cycles = chunk_cycles.iter().copied().sum();
-        // Peak resident KV: every layer caches K and V for the prompt plus
-        // the whole generation, at the MC-side weight precision (the same
-        // bytes/value the decode step's KV traffic is charged at).
-        let kv_bytes = Bytes::new(workload.config().llm.kv_cache_bytes(
-            workload.prompt_tokens() + request.output_tokens,
-            self.machine.config().mc_weight_bytes,
-        ));
         let average_context = workload.average_context_tokens();
         let solo_step_cycles = self.decode_step_cycles(iter::once(average_context), 1.0, memo);
         let clock_hz = self.clock_hz();
@@ -580,7 +591,6 @@ impl<'a> ServeSimulator<'a> {
             prefill_cycles,
             chunk_cycles,
             chunks_done: 0,
-            kv_bytes,
             average_context,
             solo_step_cycles,
             remaining_tokens: request.output_tokens,
@@ -597,24 +607,21 @@ impl<'a> ServeSimulator<'a> {
         }
     }
 
-    /// The block-granular pool of a paged run (`None` when unpaged), with
-    /// the configured spill area.
-    fn paged_pool(&self) -> Option<PagedKvPool> {
-        self.config.block_tokens.map(|block_tokens| {
-            let pool = PagedKvPool::new(self.config.kv, block_tokens, self.kv_bytes_per_token);
-            match self.config.spill_capacity_bytes {
-                Some(capacity) => pool.with_spill_capacity(capacity),
-                None => pool,
-            }
-        })
+    /// A run's empty KV account over the configured budget: blocks of
+    /// `block_tokens` tokens (one token when unpaged), with the configured
+    /// spill area.
+    fn kv_pool(&self) -> PagedKvPool {
+        let block_tokens = self.config.block_tokens.unwrap_or(1);
+        PagedKvPool::new(self.config.kv, block_tokens, self.kv_bytes_per_token)
+            .with_spill_capacity(self.config.spill_capacity_bytes.unwrap_or(Bytes::ZERO))
     }
 
-    /// The DMA engine of a paged run that shares prefixes or spills: spill
-    /// images and copy-on-write copies move over the MC clusters' share of
-    /// the DRAM interface, serially per the engine model.
-    fn dma_engine(&self, paged: Option<&PagedKvPool>) -> Option<DmaEngine> {
+    /// The DMA engine of a run that shares prefixes or spills (both imply
+    /// paging): spill images and copy-on-write copies move over the MC
+    /// clusters' share of the DRAM interface, serially per the engine model.
+    fn dma_engine(&self, pool: &PagedKvPool) -> Option<DmaEngine> {
         let moves_kv = self.config.prefix_sharing || self.config.spill_capacity_bytes.is_some();
-        paged.filter(|_| moves_kv).map(|pool| {
+        moves_kv.then(|| {
             let config = self.machine.config();
             let share = config.allocation.mc_share;
             let share = if share > 0.0 { share } else { 1.0 };
@@ -716,7 +723,7 @@ impl<'a> ServeSimulator<'a> {
     /// operators price at `contexts`, with the summed KV DRAM cycles scaled
     /// by `kv_factor` — below 1.0 when the batch's caches fit the on-chip
     /// tier, above 1.0 when a penalised majority spills to DRAM (see
-    /// [`KvPool::kv_traffic_factor`]).
+    /// [`PagedKvPool::kv_traffic_factor`]).
     ///
     /// This is the reference's per-op sum reassociated. The streams share
     /// every weight-facing operator, so those terms depend on the batch
@@ -917,24 +924,25 @@ impl<'a> ServeSimulator<'a> {
     /// configured chunking overhead and the pool's KV scaling, so it is the
     /// solo latency *under this serving configuration* — in paged mode that
     /// means per-step pricing at the growing context (step `s` attends over
-    /// `prompt + s` cached tokens) with blocks allocated as it grows.
+    /// `prompt + s` cached tokens) with blocks allocated as it grows;
+    /// unpaged, the stream reserves its peak and every step prices the
+    /// average context.
     pub fn solo_cycles(&self, request: &ServeRequest) -> Cycles {
         let mut memo = DecodeMemo::default();
         let state = self.admit(request, &mut memo);
         let mut total = state.prefill_cycles;
-        let Some(block_tokens) = self.config.block_tokens else {
-            let mut kv = self.config.kv;
-            kv.try_reserve(state.kv_bytes);
-            let contexts = iter::once(state.average_context);
-            let step = self.decode_step_cycles(contexts, kv.kv_traffic_factor(), &mut memo);
-            return total + step * request.output_tokens;
-        };
-        let mut pool = PagedKvPool::new(self.config.kv, block_tokens, self.kv_bytes_per_token);
+        let paged = self.config.paged();
+        let mut pool = self.kv_pool();
         let mut table = BlockTable::empty();
-        pool.try_grow_to(&mut table, Tokens::new(state.prompt_tokens));
+        // A solo stream always joins and grows (the empty-pool escape hatch).
+        pool.try_grow_to(&mut table, Tokens::new(state.join_tokens(paged)));
         for context in state.prompt_tokens..state.prompt_tokens + request.output_tokens {
-            // A solo stream always grows (the sole-owner escape hatch).
             pool.try_grow_to(&mut table, Tokens::new(context + 1));
+            let context = if paged {
+                context
+            } else {
+                state.average_context
+            };
             let factor = pool.kv_traffic_factor();
             total += self.decode_step_cycles(iter::once(context), factor, &mut memo);
         }
@@ -961,7 +969,7 @@ impl<'a> ServeSimulator<'a> {
         kv_factor: f64,
         op_streams: &mut HashMap<usize, Vec<OpCost>>,
     ) -> Cycles {
-        let paged = self.config.block_tokens.is_some();
+        let paged = self.config.paged();
         let contexts: Vec<usize> = batch
             .iter()
             .map(|&idx| states[idx].step_context(paged))
@@ -1040,11 +1048,11 @@ impl<'a> ServeSimulator<'a> {
         let mut batch: Vec<usize> = Vec::new();
         let mut cc_busy: Option<(Cycles, usize)> = None;
         let mut step_end: Option<Cycles> = None;
-        let mut kv = self.config.kv;
-        let mut paged = self.paged_pool();
+        let mut kv = self.kv_pool();
+        let paged = self.config.paged();
         let cc_gated = self.config.cc_gated();
         let accounted = self.config.accounted();
-        let mut dma = self.dma_engine(paged.as_ref());
+        let mut dma = self.dma_engine(&kv);
         let mut op_streams: HashMap<usize, Vec<OpCost>> = HashMap::new();
         let mut restarted_prefill_tokens = Tokens::ZERO;
         let mut completed_order: Vec<usize> = Vec::new();
@@ -1106,10 +1114,7 @@ impl<'a> ServeSimulator<'a> {
                         let finished = states[idx].remaining_tokens == 0;
                         if finished {
                             states[idx].finish = now;
-                            match paged.as_mut() {
-                                Some(pool) => pool.release(&mut states[idx].table),
-                                None => kv.release(states[idx].kv_bytes),
-                            }
+                            kv.release(&mut states[idx].table);
                             completed_order.push(idx);
                         }
                         !finished
@@ -1129,12 +1134,10 @@ impl<'a> ServeSimulator<'a> {
                         } else {
                             cc_queue.swap_remove(i);
                             // Return held blocks; settle a spilled image (unpriced).
-                            if let Some(pool) = paged.as_mut() {
-                                if let Some(ticket) = states[idx].spill.take() {
-                                    pool.try_restore(&mut states[idx].table, &ticket, true);
-                                }
-                                pool.release(&mut states[idx].table);
+                            if let Some(ticket) = states[idx].spill.take() {
+                                kv.try_restore(&mut states[idx].table, &ticket, true);
                             }
+                            kv.release(&mut states[idx].table);
                             rejected_order.push((idx, now));
                         }
                     }
@@ -1174,8 +1177,6 @@ impl<'a> ServeSimulator<'a> {
                             let idx = cc_queue[candidates[pick]];
                             // A refused candidate is skipped; the policy re-picks.
                             if cc_gated {
-                                // lint:allow(no-unwrap): cc gating implies paged mode
-                                let kv_pool = paged.as_mut().expect("gating needs a pool");
                                 if force {
                                     // Park every other queued prefill's eager KV first.
                                     for &other in cc_queue.iter() {
@@ -1185,15 +1186,14 @@ impl<'a> ServeSimulator<'a> {
                                         {
                                             continue;
                                         }
-                                        if let Some(ticket) =
-                                            kv_pool.try_spill(&mut states[other].table)
+                                        if let Some(ticket) = kv.try_spill(&mut states[other].table)
                                         {
                                             states[idx].pending_copy_bytes += ticket.bytes();
                                             states[other].spill = Some(ticket);
                                         }
                                     }
                                 }
-                                if !self.cc_chunk_gate(&mut states[idx], kv_pool, force) {
+                                if !self.cc_chunk_gate(&mut states[idx], &mut kv, force) {
                                     candidates.swap_remove(pick);
                                     snapshot.swap_remove(pick);
                                     continue;
@@ -1222,246 +1222,196 @@ impl<'a> ServeSimulator<'a> {
                 }
             }
 
-            // MC stage: top-up in join order, (paged) growth, the step.
+            // MC stage: top-up in join order, growth, the step.
             if step_end.is_none() {
                 let has_slot =
                     |batch_len: usize| self.config.batch_cap.map_or(true, |cap| batch_len < cap);
-                match paged.as_mut() {
-                    None => {
-                        if has_slot(batch.len()) && !ready.is_empty() {
-                            // `swap_remove` in lockstep keeps the snapshot aligned.
-                            let mut snapshot: Vec<QueuedRequest> =
-                                ready.iter().map(|&idx| states[idx].as_queued()).collect();
-                            while has_slot(batch.len()) && !ready.is_empty() {
-                                let pick = policy.choose_join(&snapshot);
-                                assert!(
-                                    pick < ready.len(),
-                                    "policy {} returned join index {pick} for a ready set of {}",
-                                    policy.name(),
-                                    ready.len()
-                                );
-                                if !kv.try_reserve(states[ready[pick]].kv_bytes) {
+                let pool = &mut kv;
+                // DMA cycles this dispatch owes extend the step.
+                let mut dma_cycles = Cycles::ZERO;
+                // The least-urgent member by (priority, arrival, id).
+                let worst_of = |states: &[InFlight], batch: &[usize]| -> Option<usize> {
+                    batch
+                        .iter()
+                        .enumerate()
+                        .max_by_key(|&(_, &v)| {
+                            let s = &states[v];
+                            (s.request.slo.priority, s.arrival_cycle, s.request.id)
+                        })
+                        .map(|(pos, _)| pos)
+                };
+                if !ready.is_empty() {
+                    let mut snapshot: Vec<QueuedRequest> =
+                        ready.iter().map(|&idx| states[idx].as_queued()).collect();
+                    'topup: while !ready.is_empty() {
+                        let pick = policy.choose_join(&snapshot);
+                        assert!(
+                            pick < ready.len(),
+                            "policy {} returned join index {pick} for a ready set of {}",
+                            policy.name(),
+                            ready.len()
+                        );
+                        let idx = ready[pick];
+                        let admit = |states: &mut Vec<InFlight>,
+                                     batch: &mut Vec<usize>,
+                                     pool: &mut PagedKvPool,
+                                     dma: &mut Option<DmaEngine>,
+                                     dma_cycles: &mut Cycles|
+                         -> bool {
+                            has_slot(batch.len()) && {
+                                if let Some(ticket) = states[idx].spill {
+                                    // Restore a spilled image (forced into an empty batch).
+                                    let force = batch.is_empty();
+                                    if pool.try_restore(&mut states[idx].table, &ticket, force) {
+                                        states[idx].spill = None;
+                                        *dma_cycles +=
+                                            Self::dma_transfer_cycles(dma, ticket.bytes(), now);
+                                        true
+                                    } else {
+                                        false
+                                    }
+                                } else {
+                                    // Unpaged, the join reserves the whole-request peak.
+                                    let tokens = Tokens::new(states[idx].join_tokens(paged));
+                                    if pool.try_grow_to(&mut states[idx].table, tokens) {
+                                        true
+                                    } else if accounted && batch.is_empty() {
+                                        // Queued streams hold blocks: force the join.
+                                        pool.grow_to_forced(&mut states[idx].table, tokens);
+                                        true
+                                    } else {
+                                        false
+                                    }
+                                }
+                            }
+                        };
+                        if !admit(&mut states, &mut batch, pool, &mut dma, &mut dma_cycles) {
+                            // Revoke less-urgent slots only if that admits the
+                            // pick; an unpaged reservation is never revoked.
+                            if !paged {
+                                break 'topup;
+                            }
+                            let evictable: Vec<usize> = batch
+                                .iter()
+                                .filter(|&&v| {
+                                    states[v].request.slo.priority
+                                        > states[idx].request.slo.priority
+                                })
+                                .copied()
+                                .collect();
+                            let freed: u64 = evictable
+                                .iter()
+                                .map(|&v| pool.reclaimable_blocks(&states[v].table))
+                                .sum();
+                            let needed = match states[idx].spill {
+                                // A spilled pick restores its whole image.
+                                Some(ticket) => ticket.blocks(),
+                                None => pool
+                                    .blocks_for(Tokens::new(states[idx].context_tokens()))
+                                    .saturating_sub(states[idx].table.blocks()),
+                            };
+                            let occupied = pool.occupied_blocks();
+                            // Evicting the whole batch always admits the pick.
+                            let kv_feasible = evictable.len() == batch.len()
+                                || pool
+                                    .block_bytes()
+                                    .checked_mul(occupied - freed + needed)
+                                    .unwrap_or(Bytes::MAX)
+                                    <= pool.budget_bytes();
+                            let slot_feasible = has_slot(batch.len() - evictable.len());
+                            if !(kv_feasible && slot_feasible) {
+                                break 'topup;
+                            }
+                            loop {
+                                let pos = worst_of(&states, &batch)
+                                    .filter(|&pos| {
+                                        states[batch[pos]].request.slo.priority
+                                            > states[idx].request.slo.priority
+                                    })
+                                    // lint:allow(no-unwrap): kv_feasible checked above
+                                    .expect("feasibility guaranteed a victim");
+                                let victim = batch.remove(pos);
+                                // Spill when the area has room, else evict and re-prefill.
+                                match pool.try_spill(&mut states[victim].table) {
+                                    Some(ticket) => {
+                                        dma_cycles += Self::dma_transfer_cycles(
+                                            &mut dma,
+                                            ticket.bytes(),
+                                            now,
+                                        );
+                                        states[victim].spill = Some(ticket);
+                                        ready.push(victim);
+                                        snapshot.push(states[victim].as_queued());
+                                    }
+                                    None => {
+                                        pool.evict(&mut states[victim].table);
+                                        restarted_prefill_tokens +=
+                                            Tokens::new(states[victim].context_tokens());
+                                        self.requeue_for_reprefill(&mut states[victim]);
+                                        cc_queue.push(victim);
+                                    }
+                                }
+                                if admit(&mut states, &mut batch, pool, &mut dma, &mut dma_cycles) {
                                     break;
                                 }
-                                snapshot.swap_remove(pick);
-                                let idx = ready.swap_remove(pick);
-                                states[idx].decode_start = now;
-                                batch.push(idx);
                             }
                         }
-                        if !batch.is_empty() {
-                            let factor = kv.kv_traffic_factor();
-                            step_end = Some(
-                                now + self.reference_step_cycles(
-                                    &states,
-                                    &batch,
-                                    factor,
-                                    &mut op_streams,
-                                ),
-                            );
-                            decode_steps += 1;
+                        snapshot.swap_remove(pick);
+                        ready.swap_remove(pick);
+                        if states[idx].decode_start == 0 {
+                            states[idx].decode_start = now;
+                        }
+                        batch.push(idx);
+                    }
+                }
+                // Growth for this step's token (never an allocation within an
+                // unpaged reservation); pressure evicts the least urgent.
+                let mut i = 0;
+                while i < batch.len() {
+                    let idx = batch[i];
+                    let target = Tokens::new(states[idx].context_tokens() + 1);
+                    if pool.try_grow_to(&mut states[idx].table, target) {
+                        i += 1;
+                        continue;
+                    }
+                    if accounted && batch.len() == 1 {
+                        // Sole member, blocks held elsewhere: force the growth.
+                        pool.grow_to_forced(&mut states[idx].table, target);
+                        i += 1;
+                        continue;
+                    }
+                    // lint:allow(no-unwrap): loop guard keeps batch non-empty
+                    let pos = worst_of(&states, &batch).expect("non-empty batch");
+                    let victim = batch.remove(pos);
+                    match pool.try_spill(&mut states[victim].table) {
+                        Some(ticket) => {
+                            dma_cycles += Self::dma_transfer_cycles(&mut dma, ticket.bytes(), now);
+                            states[victim].spill = Some(ticket);
+                            ready.push(victim);
+                        }
+                        None => {
+                            pool.evict(&mut states[victim].table);
+                            restarted_prefill_tokens +=
+                                Tokens::new(states[victim].context_tokens());
+                            self.requeue_for_reprefill(&mut states[victim]);
+                            cc_queue.push(victim);
                         }
                     }
-                    Some(pool) => {
-                        // DMA cycles this dispatch owes extend the step.
-                        let mut dma_cycles = Cycles::ZERO;
-                        // The least-urgent member by (priority, arrival, id).
-                        let worst_of = |states: &[InFlight], batch: &[usize]| -> Option<usize> {
-                            batch
-                                .iter()
-                                .enumerate()
-                                .max_by_key(|&(_, &v)| {
-                                    let s = &states[v];
-                                    (s.request.slo.priority, s.arrival_cycle, s.request.id)
-                                })
-                                .map(|(pos, _)| pos)
-                        };
-                        if !ready.is_empty() {
-                            let mut snapshot: Vec<QueuedRequest> =
-                                ready.iter().map(|&idx| states[idx].as_queued()).collect();
-                            'topup: while !ready.is_empty() {
-                                let pick = policy.choose_join(&snapshot);
-                                assert!(
-                                    pick < ready.len(),
-                                    "policy {} returned join index {pick} for a ready set of {}",
-                                    policy.name(),
-                                    ready.len()
-                                );
-                                let idx = ready[pick];
-                                let admit = |states: &mut Vec<InFlight>,
-                                             batch: &mut Vec<usize>,
-                                             pool: &mut PagedKvPool,
-                                             dma: &mut Option<DmaEngine>,
-                                             dma_cycles: &mut Cycles|
-                                 -> bool {
-                                    has_slot(batch.len()) && {
-                                        if let Some(ticket) = states[idx].spill {
-                                            // Restore a spilled image (forced into an empty batch).
-                                            let force = batch.is_empty();
-                                            if pool.try_restore(
-                                                &mut states[idx].table,
-                                                &ticket,
-                                                force,
-                                            ) {
-                                                states[idx].spill = None;
-                                                *dma_cycles += Self::dma_transfer_cycles(
-                                                    dma,
-                                                    ticket.bytes(),
-                                                    now,
-                                                );
-                                                true
-                                            } else {
-                                                false
-                                            }
-                                        } else {
-                                            let context = Tokens::new(states[idx].context_tokens());
-                                            if pool.try_grow_to(&mut states[idx].table, context) {
-                                                true
-                                            } else if accounted && batch.is_empty() {
-                                                // Queued streams hold blocks: force the join.
-                                                pool.grow_to_forced(
-                                                    &mut states[idx].table,
-                                                    context,
-                                                );
-                                                true
-                                            } else {
-                                                false
-                                            }
-                                        }
-                                    }
-                                };
-                                if !admit(&mut states, &mut batch, pool, &mut dma, &mut dma_cycles)
-                                {
-                                    // Revoke less-urgent slots only if that admits the pick.
-                                    let evictable: Vec<usize> = batch
-                                        .iter()
-                                        .filter(|&&v| {
-                                            states[v].request.slo.priority
-                                                > states[idx].request.slo.priority
-                                        })
-                                        .copied()
-                                        .collect();
-                                    let freed: u64 = evictable
-                                        .iter()
-                                        .map(|&v| pool.reclaimable_blocks(&states[v].table))
-                                        .sum();
-                                    let needed = match states[idx].spill {
-                                        // A spilled pick restores its whole image.
-                                        Some(ticket) => ticket.blocks(),
-                                        None => pool
-                                            .blocks_for(Tokens::new(states[idx].context_tokens()))
-                                            .saturating_sub(states[idx].table.blocks()),
-                                    };
-                                    let occupied = pool.occupied_blocks();
-                                    // Evicting the whole batch always admits the pick.
-                                    let kv_feasible = evictable.len() == batch.len()
-                                        || pool
-                                            .block_bytes()
-                                            .checked_mul(occupied - freed + needed)
-                                            .unwrap_or(Bytes::MAX)
-                                            <= pool.budget_bytes();
-                                    let slot_feasible = has_slot(batch.len() - evictable.len());
-                                    if !(kv_feasible && slot_feasible) {
-                                        break 'topup;
-                                    }
-                                    loop {
-                                        let pos = worst_of(&states, &batch)
-                                            .filter(|&pos| {
-                                                states[batch[pos]].request.slo.priority
-                                                    > states[idx].request.slo.priority
-                                            })
-                                            // lint:allow(no-unwrap): kv_feasible checked above
-                                            .expect("feasibility guaranteed a victim");
-                                        let victim = batch.remove(pos);
-                                        // Spill when the area has room, else evict and re-prefill.
-                                        match pool.try_spill(&mut states[victim].table) {
-                                            Some(ticket) => {
-                                                dma_cycles += Self::dma_transfer_cycles(
-                                                    &mut dma,
-                                                    ticket.bytes(),
-                                                    now,
-                                                );
-                                                states[victim].spill = Some(ticket);
-                                                ready.push(victim);
-                                                snapshot.push(states[victim].as_queued());
-                                            }
-                                            None => {
-                                                pool.evict(&mut states[victim].table);
-                                                restarted_prefill_tokens +=
-                                                    Tokens::new(states[victim].context_tokens());
-                                                self.requeue_for_reprefill(&mut states[victim]);
-                                                cc_queue.push(victim);
-                                            }
-                                        }
-                                        if admit(
-                                            &mut states,
-                                            &mut batch,
-                                            pool,
-                                            &mut dma,
-                                            &mut dma_cycles,
-                                        ) {
-                                            break;
-                                        }
-                                    }
-                                }
-                                snapshot.swap_remove(pick);
-                                ready.swap_remove(pick);
-                                if states[idx].decode_start == 0 {
-                                    states[idx].decode_start = now;
-                                }
-                                batch.push(idx);
-                            }
-                        }
-                        // Growth for this step's token; pressure evicts the least urgent.
-                        let mut i = 0;
-                        while i < batch.len() {
-                            let idx = batch[i];
-                            let target = Tokens::new(states[idx].context_tokens() + 1);
-                            if pool.try_grow_to(&mut states[idx].table, target) {
-                                i += 1;
-                                continue;
-                            }
-                            if accounted && batch.len() == 1 {
-                                // Sole member, blocks held elsewhere: force the growth.
-                                pool.grow_to_forced(&mut states[idx].table, target);
-                                i += 1;
-                                continue;
-                            }
-                            // lint:allow(no-unwrap): loop guard keeps batch non-empty
-                            let pos = worst_of(&states, &batch).expect("non-empty batch");
-                            let victim = batch.remove(pos);
-                            match pool.try_spill(&mut states[victim].table) {
-                                Some(ticket) => {
-                                    dma_cycles +=
-                                        Self::dma_transfer_cycles(&mut dma, ticket.bytes(), now);
-                                    states[victim].spill = Some(ticket);
-                                    ready.push(victim);
-                                }
-                                None => {
-                                    pool.evict(&mut states[victim].table);
-                                    restarted_prefill_tokens +=
-                                        Tokens::new(states[victim].context_tokens());
-                                    self.requeue_for_reprefill(&mut states[victim]);
-                                    cc_queue.push(victim);
-                                }
-                            }
-                            if pos < i {
-                                i -= 1;
-                            }
-                        }
-                        if !batch.is_empty() {
-                            // DMA serialises with the step that triggered it.
-                            step_end = Some(
-                                now + self.reference_step_cycles(
-                                    &states,
-                                    &batch,
-                                    pool.kv_traffic_factor(),
-                                    &mut op_streams,
-                                ) + dma_cycles,
-                            );
-                            decode_steps += 1;
-                        }
+                    if pos < i {
+                        i -= 1;
                     }
+                }
+                if !batch.is_empty() {
+                    // DMA serialises with the step that triggered it.
+                    step_end = Some(
+                        now + self.reference_step_cycles(
+                            &states,
+                            &batch,
+                            pool.kv_traffic_factor(),
+                            &mut op_streams,
+                        ) + dma_cycles,
+                    );
+                    decode_steps += 1;
                 }
             }
 
@@ -1469,9 +1419,7 @@ impl<'a> ServeSimulator<'a> {
                 time_s: now.seconds_at(clock_hz),
                 waiting: cc_queue.len() + ready.len(),
                 active: batch.len(),
-                kv_bytes: paged
-                    .as_ref()
-                    .map_or(kv.reserved_bytes(), |pool| pool.occupied_bytes()),
+                kv_bytes: kv.occupied_bytes(),
             });
         }
 
@@ -1484,7 +1432,6 @@ impl<'a> ServeSimulator<'a> {
             preemptions,
             restarted_prefill_tokens,
             &kv,
-            paged.as_ref(),
         )
     }
 
@@ -1501,8 +1448,7 @@ impl<'a> ServeSimulator<'a> {
         decode_steps: u64,
         preemptions: u64,
         restarted_prefill_tokens: Tokens,
-        kv: &KvPool,
-        paged: Option<&PagedKvPool>,
+        kv: &PagedKvPool,
     ) -> ServeReport {
         let clock_hz = self.clock_hz();
         debug_assert_eq!(completed_order.len() + rejected_order.len(), states.len());
@@ -1552,17 +1498,11 @@ impl<'a> ServeSimulator<'a> {
             queue_samples,
             decode_steps,
             preemptions,
-            evictions: paged.as_ref().map_or(0, |pool| pool.evictions()),
+            evictions: kv.evictions(),
             restarted_prefill_tokens,
-            spilled_kv_bytes: paged
-                .as_ref()
-                .map_or(Bytes::ZERO, |pool| pool.spilled_bytes()),
-            restored_kv_bytes: paged
-                .as_ref()
-                .map_or(Bytes::ZERO, |pool| pool.restored_bytes()),
-            peak_kv_bytes: paged
-                .as_ref()
-                .map_or(kv.peak_bytes(), |pool| pool.peak_bytes()),
+            spilled_kv_bytes: kv.spilled_bytes(),
+            restored_kv_bytes: kv.restored_bytes(),
+            peak_kv_bytes: kv.peak_bytes(),
             makespan_s,
         }
     }

@@ -2,7 +2,7 @@
 //! table whose pending tail is sorted by arrival, and two completion slots.
 
 use edgemm_core::units::{Bytes, Cycles, Tokens};
-use edgemm_mem::{DmaEngine, KvPool, PagedKvPool};
+use edgemm_mem::{DmaEngine, PagedKvPool};
 
 use super::{DecodeMemo, InFlight, ServeSimulator};
 use crate::metrics::{QueueSample, ServeReport};
@@ -362,8 +362,7 @@ pub struct ServeScratch {
     cc_resumable: Option<usize>,
     /// Cycle of the last processed event; `None` before the first.
     last_event: Option<Cycles>,
-    kv: KvPool,
-    paged: Option<PagedKvPool>,
+    kv: PagedKvPool,
     dma: Option<DmaEngine>,
     decode_memo: DecodeMemo,
     completed_order: Vec<usize>,
@@ -404,9 +403,8 @@ impl ServeScratch {
         self.step_end = None;
         self.cc_resumable = None;
         self.last_event = None;
-        self.kv = simulator.config.kv;
-        self.paged = simulator.paged_pool();
-        self.dma = simulator.dma_engine(self.paged.as_ref());
+        self.kv = simulator.kv_pool();
+        self.dma = simulator.dma_engine(&self.kv);
         self.decode_memo.clear();
         self.completed_order.clear();
         self.rejected_order.clear();
@@ -624,10 +622,7 @@ impl ServeEngine<'_, '_> {
     /// KV-cache bytes resident after the last processed event (zero before
     /// the first): what that event's [`QueueSample::kv_bytes`] records.
     pub fn kv_bytes(&self) -> Bytes {
-        let s = &*self.scratch;
-        s.paged
-            .as_ref()
-            .map_or(s.kv.reserved_bytes(), PagedKvPool::occupied_bytes)
+        self.scratch.kv.occupied_bytes()
     }
 
     /// Process every remaining event and report the run.
@@ -663,7 +658,6 @@ impl ServeEngine<'_, '_> {
             s.preemptions,
             s.restarted_prefill_tokens,
             &s.kv,
-            s.paged.as_ref(),
         )
     }
 
@@ -738,10 +732,7 @@ impl ServeEngine<'_, '_> {
                 let finished = state.remaining_tokens == 0;
                 if finished {
                     state.finish = now;
-                    match s.paged.as_mut() {
-                        Some(pool) => pool.release(&mut state.table),
-                        None => s.kv.release(state.kv_bytes),
-                    }
+                    s.kv.release(&mut state.table);
                     s.completed_order.push(idx);
                 }
                 !finished
@@ -837,13 +828,11 @@ impl ServeEngine<'_, '_> {
             // tables. A spilled image is read back and dropped so the spill
             // area's accounting settles (unpriced: the reject leaves the
             // system).
-            if let Some(pool) = s.paged.as_mut() {
-                let state = &mut s.states[idx];
-                if let Some(ticket) = state.spill.take() {
-                    pool.try_restore(&mut state.table, &ticket, true);
-                }
-                pool.release(&mut state.table);
+            let state = &mut s.states[idx];
+            if let Some(ticket) = state.spill.take() {
+                s.kv.try_restore(&mut state.table, &ticket, true);
             }
+            s.kv.release(&mut state.table);
             s.rejected_order.push((idx, now));
         }
         debug_assert!(s.cc_queue.set(true).is_empty());
@@ -963,9 +952,7 @@ impl ServeEngine<'_, '_> {
     /// drained pool; without an area, forced growth is the only escape.
     fn gate_chunk(&mut self, idx: usize, force: bool) -> bool {
         let s = &mut *self.scratch;
-        let Some(pool) = s.paged.as_mut() else {
-            return true;
-        };
+        let pool = &mut s.kv;
         if force {
             for &other in s.cc_queue.order() {
                 let parked = s.states[other].spill.is_some();
@@ -983,8 +970,8 @@ impl ServeEngine<'_, '_> {
     }
 
     /// Dispatch the MC stage: top the batch up (continuous batching), grow
-    /// every paged stream for the token the step generates, then price and
-    /// start the step.
+    /// every stream for the token the step generates, then price and start
+    /// the step.
     fn dispatch_decode(&mut self, now: Cycles) {
         if self.scratch.step_end.is_some() {
             return;
@@ -997,10 +984,8 @@ impl ServeEngine<'_, '_> {
         if s.batch.is_empty() {
             return;
         }
-        let (paged, kv_factor) = match s.paged.as_ref() {
-            Some(pool) => (true, pool.kv_traffic_factor()),
-            None => (false, s.kv.kv_traffic_factor()),
-        };
+        let kv_factor = s.kv.kv_traffic_factor();
+        let paged = self.simulator.config.paged();
         let states = &s.states;
         let contexts = s.batch.iter().map(|&idx| states[idx].step_context(paged));
         let step = self
@@ -1017,7 +1002,7 @@ impl ServeEngine<'_, '_> {
     /// mode, revoking strictly-less-urgent decode slots admits it.
     fn top_up(&mut self, now: Cycles, dma_cycles: &mut Cycles) {
         let config = self.simulator.config;
-        let paged = self.scratch.paged.is_some();
+        let paged = config.paged();
         let can_join =
             |s: &ServeScratch| !s.ready.is_empty() && (paged || config.has_slot(s.batch.len()));
         if !can_join(self.scratch) {
@@ -1078,9 +1063,10 @@ impl ServeEngine<'_, '_> {
         pick
     }
 
-    /// Join ready stream `idx` to the decode batch if it fits: unpaged, it
-    /// reserves its whole-request peak KV; paged, a spilled stream reads
-    /// its image back and any other grows its table to its context.
+    /// Join ready stream `idx` to the decode batch if it fits: a spilled
+    /// stream reads its image back, and any other grows its table to its
+    /// join tokens ([`InFlight::join_tokens`]: its whole-request peak
+    /// unpaged, its context paged).
     fn try_join(&mut self, idx: usize, now: Cycles, dma_cycles: &mut Cycles) -> bool {
         let config = self.simulator.config;
         let s = &mut *self.scratch;
@@ -1088,9 +1074,7 @@ impl ServeEngine<'_, '_> {
             return false;
         }
         let state = &mut s.states[idx];
-        let Some(pool) = s.paged.as_mut() else {
-            return s.kv.try_reserve(state.kv_bytes);
-        };
+        let pool = &mut s.kv;
         if let Some(ticket) = state.spill {
             // Forced when the batch is empty, so decode progresses even
             // while queued streams hold blocks.
@@ -1101,14 +1085,14 @@ impl ServeEngine<'_, '_> {
             *dma_cycles += price_dma(&mut s.dma, &mut s.counters, ticket.bytes(), now);
             return true;
         }
-        let context = Tokens::new(state.context_tokens());
-        if pool.try_grow_to(&mut state.table, context) {
+        let tokens = Tokens::new(state.join_tokens(config.paged()));
+        if pool.try_grow_to(&mut state.table, tokens) {
             return true;
         }
         if config.accounted() && s.batch.is_empty() {
             // Queued streams hold pool blocks, so the sole-owner hatch
             // cannot open; force the join — decode must drain.
-            pool.grow_to_forced(&mut state.table, context);
+            pool.grow_to_forced(&mut state.table, tokens);
             return true;
         }
         false
@@ -1118,12 +1102,14 @@ impl ServeEngine<'_, '_> {
     /// strictly-less-urgent streams can be evicted for it, so equal
     /// priorities wait instead of thrashing — and only when revoking *all*
     /// of them would actually admit the pick, so a victim never pays the
-    /// re-prefill recompute for nothing.
+    /// re-prefill recompute for nothing. Unpaged runs never revoke: a
+    /// reservation holds to completion.
     fn revocation_admits(&self, idx: usize) -> bool {
-        let s = &*self.scratch;
-        let Some(pool) = s.paged.as_ref() else {
+        if !self.simulator.config.paged() {
             return false;
-        };
+        }
+        let s = &*self.scratch;
+        let pool = &s.kv;
         let pick = &s.states[idx];
         let priority = pick.request.slo.priority;
         let evictable = || {
@@ -1146,27 +1132,23 @@ impl ServeEngine<'_, '_> {
         // Evicting the whole batch makes the pick the sole owner (the
         // escape hatch always admits it); otherwise the freed blocks must
         // leave room under the budget.
-        let kv_feasible = evictable == s.batch.len()
-            || pool
-                .block_bytes()
-                .checked_mul(pool.occupied_blocks() - freed + needed)
-                .unwrap_or(Bytes::MAX)
-                <= pool.budget_bytes();
+        let kv_feasible =
+            evictable == s.batch.len() || pool.fits_budget(pool.occupied_blocks() - freed + needed);
         kv_feasible && self.simulator.config.has_slot(s.batch.len() - evictable)
     }
 
     /// Growth: room for the token each stream generates this step. Under
     /// pressure the least-urgent member is displaced — possibly the grower
     /// itself; a sole remaining stream always grows (the pool's sole-owner
-    /// escape hatch, or a forced growth), so this terminates.
+    /// escape hatch, or a forced growth), so this terminates. An unpaged
+    /// stream reserved its whole-request peak when it joined, so its growth
+    /// stays within the reservation and never allocates.
     fn grow_batch(&mut self, now: Cycles, dma_cycles: &mut Cycles) {
         let accounted = self.simulator.config.accounted();
         let mut i = 0;
         while i < self.scratch.batch.len() {
             let s = &mut *self.scratch;
-            let Some(pool) = s.paged.as_mut() else {
-                return;
-            };
+            let pool = &mut s.kv;
             let state = &mut s.states[s.batch[i]];
             let target = Tokens::new(state.context_tokens() + 1);
             if pool.try_grow_to(&mut state.table, target) {
@@ -1212,18 +1194,15 @@ impl ServeEngine<'_, '_> {
     /// on the CC stage for re-prefill. Returns whether it was spilled.
     fn displace(&mut self, pos: usize, now: Cycles, dma_cycles: &mut Cycles) -> bool {
         let s = &mut *self.scratch;
-        let Some(pool) = s.paged.as_mut() else {
-            return false;
-        };
         let victim = s.batch.remove(pos);
         let state = &mut s.states[victim];
-        if let Some(ticket) = pool.try_spill(&mut state.table) {
+        if let Some(ticket) = s.kv.try_spill(&mut state.table) {
             *dma_cycles += price_dma(&mut s.dma, &mut s.counters, ticket.bytes(), now);
             state.spill = Some(ticket);
             s.ready.push(victim);
             return true;
         }
-        pool.evict(&mut state.table);
+        s.kv.evict(&mut state.table);
         s.restarted_prefill_tokens += Tokens::new(state.context_tokens());
         self.simulator.requeue_for_reprefill(state);
         s.cc_queue.push(victim, &s.states, self.policy);

@@ -40,8 +40,8 @@ pub fn is_zero(x: f64) -> bool {
 /// Exact test against the `1.0` sentinel (neutral scale factor).
 ///
 /// Sound only for factors that are *assigned* `1.0` on their neutral path,
-/// as `KvPool::kv_traffic_factor` does; a tolerance here would misclassify
-/// near-neutral pools and change exact integer fast paths.
+/// as `PagedKvPool::kv_traffic_factor` does; a tolerance here would
+/// misclassify near-neutral pools and change exact integer fast paths.
 pub fn is_one(x: f64) -> bool {
     x == 1.0 // lint:allow(float-eq): audited exact sentinel comparison
 }
