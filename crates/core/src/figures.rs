@@ -9,7 +9,7 @@ use edgemm_baseline::{GpuModel, RooflineDevice, SnitchBaseline};
 use edgemm_core::units::Bytes;
 use edgemm_mem::DramModel;
 use edgemm_mllm::{
-    gemv, ActivationGenerator, ActivationProfile, Matrix, MllmConfig, ModelWorkload, Phase,
+    gemm_from_fn, ActivationGenerator, ActivationProfile, Matrix, MllmConfig, ModelWorkload, Phase,
     WorkloadAnalysis,
 };
 use edgemm_pruning::{metrics, DynamicTopK, FixedRatioPruning, Pruner};
@@ -249,37 +249,44 @@ pub fn fig12_pruning(
     let layers = model.llm.layers;
     let profile = ActivationProfile::sphinx_tiny_like(layers, channels);
     let generator = ActivationGenerator::new(profile, seed);
-    // A fixed synthetic up-projection weight matrix shared by all schemes.
-    let weights = Matrix::from_fn(channels, ffn_dim, |r, c| {
-        let h = (r.wrapping_mul(31).wrapping_add(c.wrapping_mul(17))) % 1000;
-        (h as f32 / 1000.0 - 0.5) * 0.1
-    });
     let mut dynamic = DynamicTopK::paper_default(channels);
     let mut fixed_mild = FixedRatioPruning::new(0.1);
     let mut fixed_aggressive = FixedRatioPruning::new(0.7);
 
     let mut layer_kurtosis = Vec::with_capacity(layers);
     let mut layer_ratio = Vec::with_capacity(layers);
-    let mut cos_dyn = Vec::with_capacity(layers);
-    let mut cos_mild = Vec::with_capacity(layers);
-    let mut cos_aggr = Vec::with_capacity(layers);
+    // Four input rows per layer: the dense activation, then its dynamic,
+    // mild and aggressive masks.
+    let mut inputs = Vec::with_capacity(4 * layers * channels);
 
     dynamic.reset();
     for layer in 0..layers {
         let x = generator.generate(layer, 0);
-        let reference = gemv(&x, &weights);
-        let eval = |selection: edgemm_pruning::PruneSelection| {
-            let masked = selection.mask(&x);
-            let pruned = gemv(&masked, &weights);
-            metrics::cosine_similarity(&reference, &pruned)
-        };
         let sel_dyn = dynamic.select(layer, &x);
         layer_ratio.push(sel_dyn.pruning_ratio());
-        cos_dyn.push(eval(sel_dyn));
-        cos_mild.push(eval(fixed_mild.select(layer, &x)));
-        cos_aggr.push(eval(fixed_aggressive.select(layer, &x)));
         layer_kurtosis.push(metrics::kurtosis(&x));
+        let selections = [
+            sel_dyn,
+            fixed_mild.select(layer, &x),
+            fixed_aggressive.select(layer, &x),
+        ];
+        inputs.extend_from_slice(&x);
+        for selection in selections {
+            inputs.extend(selection.mask(&x));
+        }
     }
+    // A fixed synthetic up-projection weight matrix shared by all schemes,
+    // generated block by block and streamed once through every input.
+    let inputs = Matrix::from_vec(4 * layers, channels, inputs);
+    let outputs = gemm_from_fn(&inputs, ffn_dim, |r, c| {
+        let h = (r.wrapping_mul(31).wrapping_add(c.wrapping_mul(17))) % 1000;
+        (h as f32 / 1000.0 - 0.5) * 0.1
+    });
+    let cosines = |scheme: usize| -> Vec<f64> {
+        let cosine =
+            |l: usize| metrics::cosine_similarity(outputs.row(4 * l), outputs.row(4 * l + scheme));
+        (0..layers).map(cosine).collect()
+    };
 
     // Decode-latency reduction measured by the simulator at the keep ratio
     // the dynamic scheme actually achieved.
@@ -299,9 +306,9 @@ pub fn fig12_pruning(
     Fig12Report {
         layer_kurtosis,
         layer_pruning_ratio: layer_ratio,
-        cosine_dynamic: cos_dyn,
-        cosine_fixed_mild: cos_mild,
-        cosine_fixed_aggressive: cos_aggr,
+        cosine_dynamic: cosines(1),
+        cosine_fixed_mild: cosines(2),
+        cosine_fixed_aggressive: cosines(3),
         decode_latency_reduction: 1.0 - pruned.cycles.ratio(dense.cycles),
     }
 }
@@ -501,6 +508,82 @@ mod tests {
         assert!(report.cosine_fixed_aggressive[1] < report.cosine_dynamic[1]);
         // ...while cutting decode latency substantially.
         assert!(report.decode_latency_reduction > 0.2);
+    }
+
+    /// Fig. 12 by the direct route: the whole weight matrix built up front,
+    /// then one `gemv` per input (dense, then each scheme's mask). The
+    /// oracle of `fig12_pruning`'s weight-once block fold.
+    fn fig12_per_input_gemv(
+        model: &MllmConfig,
+        channels: usize,
+        ffn_dim: usize,
+        seed: u64,
+    ) -> Fig12Report {
+        let layers = model.llm.layers;
+        let profile = ActivationProfile::sphinx_tiny_like(layers, channels);
+        let generator = ActivationGenerator::new(profile, seed);
+        let weights = Matrix::from_fn(channels, ffn_dim, |r, c| {
+            let h = (r.wrapping_mul(31).wrapping_add(c.wrapping_mul(17))) % 1000;
+            (h as f32 / 1000.0 - 0.5) * 0.1
+        });
+        let mut dynamic = DynamicTopK::paper_default(channels);
+        let mut fixed_mild = FixedRatioPruning::new(0.1);
+        let mut fixed_aggressive = FixedRatioPruning::new(0.7);
+        let (mut kurtosis, mut ratio) = (Vec::new(), Vec::new());
+        let (mut cos_dyn, mut cos_mild, mut cos_aggr) = (Vec::new(), Vec::new(), Vec::new());
+        dynamic.reset();
+        for layer in 0..layers {
+            let x = generator.generate(layer, 0);
+            let reference = edgemm_mllm::gemv(&x, &weights);
+            let eval = |selection: edgemm_pruning::PruneSelection| {
+                let pruned = edgemm_mllm::gemv(&selection.mask(&x), &weights);
+                metrics::cosine_similarity(&reference, &pruned)
+            };
+            let sel_dyn = dynamic.select(layer, &x);
+            ratio.push(sel_dyn.pruning_ratio());
+            cos_dyn.push(eval(sel_dyn));
+            cos_mild.push(eval(fixed_mild.select(layer, &x)));
+            cos_aggr.push(eval(fixed_aggressive.select(layer, &x)));
+            kurtosis.push(metrics::kurtosis(&x));
+        }
+        let system = EdgeMm::paper_default();
+        let workload = ModelWorkload::new(model.clone(), 20, 32);
+        let keep = 1.0 - ratio.iter().sum::<f64>() / layers as f64;
+        let decode = |options| {
+            let machine = system.machine();
+            machine
+                .run_decode_on(&workload, ClusterKind::MemoryCentric, options)
+                .cycles
+        };
+        let dense = decode(DecodeOptions::baseline());
+        let pruned = decode(DecodeOptions::with_pruning(keep.clamp(0.01, 1.0)));
+        Fig12Report {
+            layer_kurtosis: kurtosis,
+            layer_pruning_ratio: ratio,
+            cosine_dynamic: cos_dyn,
+            cosine_fixed_mild: cos_mild,
+            cosine_fixed_aggressive: cos_aggr,
+            decode_latency_reduction: 1.0 - pruned.ratio(dense),
+        }
+    }
+
+    #[test]
+    fn fig12_weight_once_fold_matches_per_input_gemv() {
+        // Channel counts off every group of 4 and block of 32 weight rows
+        // (37), or a whole number of groups with a partial block (100), and
+        // output widths off and on a multiple of 32.
+        let model = zoo::sphinx_tiny();
+        for (channels, ffn_dim) in [(37, 29), (37, 96), (100, 29), (100, 96)] {
+            for seed in [0, 7, 23, 101] {
+                let folded = fig12_pruning(&model, channels, ffn_dim, seed);
+                let oracle = fig12_per_input_gemv(&model, channels, ffn_dim, seed);
+                assert_eq!(
+                    format!("{folded:?}"),
+                    format!("{oracle:?}"),
+                    "channels {channels}, ffn {ffn_dim}, seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

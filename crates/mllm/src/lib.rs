@@ -32,5 +32,5 @@ pub mod zoo;
 pub use activation::{ActivationGenerator, ActivationProfile};
 pub use analysis::{MemoryBreakdown, PhaseProfile, WorkloadAnalysis};
 pub use config::{LlmConfig, MllmConfig, ProjectorConfig, ProjectorKind, VisionEncoderConfig};
-pub use tensor::{gemm, gemv, Matrix};
+pub use tensor::{gemm, gemm_from_fn, gemv, Matrix};
 pub use workload::{MatmulOp, ModelWorkload, OpKind, Phase, TrafficClass};

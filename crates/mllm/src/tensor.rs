@@ -2,13 +2,17 @@
 //!
 //! The accuracy-side experiments (cosine similarity of pruned vs unpruned
 //! FFN outputs, Fig. 12b) need real arithmetic, not just operator shapes.
-//! A tiny row-major [`Matrix`] plus free [`gemm`]/[`gemv`] functions keep
-//! those experiments dependency-free; the cycle-accurate numerics live in
-//! `edgemm-coproc`.
+//! A tiny row-major [`Matrix`] plus free [`gemm`]/[`gemm_from_fn`]/[`gemv`]
+//! functions keep those experiments dependency-free.
 //!
-//! Both kernels stream the weight matrix row by row, as EdgeMM's hardware
+//! The kernels stream the weight matrix row by row, as EdgeMM's hardware
 //! does: a pruned (zero) input's weight row is never read, and a kept row
-//! is read contiguously. The result is bit-identical to the scalar loop.
+//! is read contiguously. The GEMMs fold each block of weight rows into
+//! every input row before moving on, so the weights stream once per call
+//! whatever the number of inputs, as a stream batch shares one weight
+//! fetch (Fig. 9c); [`gemm_from_fn`] generates each block as it goes and
+//! never holds the whole matrix. The result is bit-identical to the scalar
+//! loop.
 
 use edgemm_core::float::is_zero_f32;
 
@@ -25,13 +29,13 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or `rows * cols` overflows
+    /// `usize`.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
         Matrix {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: vec![0.0; element_count(rows, cols)],
         }
     }
 
@@ -39,10 +43,14 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != rows * cols` or a dimension is zero.
+    /// Panics if a dimension is zero, `rows * cols` overflows `usize`, or
+    /// `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
-        assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
-        assert_eq!(data.len(), rows * cols, "data length mismatch");
+        assert_eq!(
+            data.len(),
+            element_count(rows, cols),
+            "data length mismatch"
+        );
         Matrix { rows, cols, data }
     }
 
@@ -103,10 +111,25 @@ impl Matrix {
     }
 }
 
+/// `rows * cols` of a matrix with no zero dimension, checked: an unchecked
+/// product wraps in release builds and would let a matrix claim more
+/// elements than its buffer holds.
+fn element_count(rows: usize, cols: usize) -> usize {
+    assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
+    rows.checked_mul(cols)
+        .unwrap_or_else(|| panic!("a {rows} x {cols} matrix has more elements than usize holds"))
+}
+
 /// Kept weight rows folded into the outputs per pass of [`accumulate_rows`].
 const GROUP: usize = 4;
 
-/// The row-streaming core of [`gemm`] and [`gemv`]: `out += x · W`, where
+/// Weight rows the GEMMs fold into every input row per pass of
+/// [`fold_block`]. A block of Fig. 12's 5,632-column matrix is 704 KiB, so
+/// it stays in a 2 MiB L2 cache while every input row reads it. On a 2-core
+/// x86-64 VM, Fig. 12 ran as fast with 16 rows and ~7% slower with 64.
+const K_BLOCK: usize = 32;
+
+/// The row-streaming core of every kernel: `out += x · W`, where
 /// `w` is a row-major `x.len() x out.len()` matrix.
 ///
 /// Rows are read in ascending `k`; a row whose input is exactly zero is
@@ -147,18 +170,63 @@ fn accumulate_rows(x: &[f32], w: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Dense GEMM: `A (m x k) * B (k x n) -> (m x n)`, streaming the rows of
-/// `B` once per row of `A` and skipping those whose `A` entry is zero.
+/// Folds weight rows `k0..` (row-major in `w`, `out.cols()` wide) into every
+/// row of `out`: `out[i] += A[i][k0..k1] · w`.
+///
+/// Each output row persists across blocks and blocks come in ascending
+/// `k0`, so every output element still adds its nonzero products in
+/// ascending `k`. A group of [`GROUP`] cut short at a block edge is added
+/// one row at a time, and `((((o + p0) + p1) + p2) + p3)` is exactly the
+/// grouped expression, so the block edges do not move a bit.
+fn fold_block(a: &Matrix, k0: usize, w: &[f32], out: &mut Matrix) {
+    let k1 = k0 + w.len() / out.cols;
+    let rows = a
+        .data
+        .chunks_exact(a.cols)
+        .zip(out.data.chunks_exact_mut(out.cols));
+    for (arow, orow) in rows {
+        accumulate_rows(&arow[k0..k1], w, orow);
+    }
+}
+
+/// Dense GEMM: `A (m x k) * B (k x n) -> (m x n)`, streaming each block of
+/// 32 rows of `B` once through every row of `A` and skipping the rows
+/// whose `A` entry is zero.
 ///
 /// # Panics
 ///
 /// Panics if the inner dimensions disagree.
 pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let (k, n) = (a.cols(), b.cols());
-    let mut out = Matrix::zeros(a.rows(), n);
-    for (arow, orow) in a.data.chunks_exact(k).zip(out.data.chunks_exact_mut(n)) {
-        accumulate_rows(arow, &b.data, orow);
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for (i, block) in b.data.chunks(K_BLOCK * b.cols).enumerate() {
+        fold_block(a, i * K_BLOCK, block, &mut out);
+    }
+    out
+}
+
+/// [`gemm`] with `B[r][c] = weight(r, c)`, for a `B` of `a.cols()` rows
+/// and `cols` columns that is never held whole: `B` is generated 32 rows
+/// at a time into one reused buffer. `weight` is called exactly once per
+/// element, in row-major order, and the result is bit-identical to
+/// `gemm(a, &Matrix::from_fn(a.cols(), cols, weight))`.
+///
+/// # Panics
+///
+/// Panics if `cols` is zero.
+pub fn gemm_from_fn(
+    a: &Matrix,
+    cols: usize,
+    mut weight: impl FnMut(usize, usize) -> f32,
+) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), cols);
+    let mut block = Vec::with_capacity(K_BLOCK.min(a.cols) * cols);
+    for k0 in (0..a.cols).step_by(K_BLOCK) {
+        block.clear();
+        for r in k0..(k0 + K_BLOCK).min(a.cols) {
+            block.extend((0..cols).map(|c| weight(r, c)));
+        }
+        fold_block(a, k0, &block, &mut out);
     }
     out
 }
@@ -268,6 +336,80 @@ mod tests {
         assert_eq!(bits(&gemv(&zeros, &b)), bits(&[0.0; 6]), "all-zero input");
     }
 
+    /// `gemm` and `gemm_from_fn` over the same weights, each checked bit for
+    /// bit against the scalar oracle.
+    fn assert_gemms_match_scalar(a: &Matrix, b: &Matrix, label: &str) {
+        let scalar = bits(&gemm_scalar(a, b).data);
+        assert_eq!(bits(&gemm(a, b).data), scalar, "gemm {label}");
+        let generated = gemm_from_fn(a, b.cols, |r, c| b.get(r, c));
+        assert_eq!(bits(&generated.data), scalar, "gemm_from_fn {label}");
+    }
+
+    #[test]
+    fn blocked_gemms_are_bit_identical_across_block_edges() {
+        // `k` below, at and past one block, and several blocks plus a
+        // remainder, with zero runs at the start and across the first edge.
+        // The sprinkled zeros leave a group of 4 cut short at block edges;
+        // `cut` counts the rows of A where that happens at the first one.
+        let held = |row: &[f32]| row.iter().filter(|v| !is_zero_f32(**v)).count() % GROUP;
+        let mut cut = 0;
+        for k in [
+            K_BLOCK - 1,
+            K_BLOCK,
+            K_BLOCK + 1,
+            2 * K_BLOCK + 2,
+            3 * K_BLOCK + 5,
+        ] {
+            for (zeros, seed) in [
+                (0..0, 3),
+                (0..1, 5),
+                (2..5, 11),
+                (K_BLOCK - 2..K_BLOCK + 1, 13),
+            ] {
+                let a = fill(5, k, seed, zeros.clone());
+                let b = fill(k, 7, seed + 1, 0..0);
+                assert_gemms_match_scalar(&a, &b, &format!("k={k} zeros={zeros:?}"));
+                cut += a
+                    .data
+                    .chunks_exact(k)
+                    .filter(|row| k > K_BLOCK && held(&row[..K_BLOCK]) > 0)
+                    .count();
+            }
+        }
+        assert!(
+            cut > 20,
+            "only {cut} rows cut a group at the first block edge"
+        );
+    }
+
+    #[test]
+    fn blocked_gemms_never_read_rows_that_every_input_skips() {
+        // Columns K_BLOCK-3 to K_BLOCK+4 of every row of A are zero, so their
+        // weight rows, ∞ and NaN here, straddle the first block edge and
+        // must never be read by either kernel.
+        let (k, zeros) = (2 * K_BLOCK + 3, K_BLOCK - 3..K_BLOCK + 5);
+        let a = fill(6, k, 41, zeros.clone());
+        let b = Matrix::from_fn(k, 9, |r, c| match zeros.contains(&r) {
+            true => [f32::INFINITY, f32::NAN, f32::NEG_INFINITY][c % 3],
+            false => 0.1 * ((r * 9 + c) % 31) as f32 - 1.45,
+        });
+        assert!(gemm(&a, &b).data.iter().all(|v| v.is_finite()));
+        assert_gemms_match_scalar(&a, &b, "non-finite skipped rows");
+    }
+
+    #[test]
+    fn gemm_from_fn_generates_each_weight_once_in_row_major_order() {
+        let (k, n) = (3 * K_BLOCK + 5, 6);
+        let a = fill(4, k, 19, 0..0);
+        let mut calls = Vec::new();
+        gemm_from_fn(&a, n, |r, c| {
+            calls.push((r, c));
+            1.0
+        });
+        let row_major: Vec<_> = (0..k).flat_map(|r| (0..n).map(move |c| (r, c))).collect();
+        assert_eq!(calls, row_major);
+    }
+
     #[test]
     fn identity_gemm() {
         let a = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
@@ -318,32 +460,50 @@ mod tests {
         Matrix::from_vec(2, 2, vec![1.0]);
     }
 
+    #[test]
+    #[should_panic(expected = "more elements than usize holds")]
+    fn overflowing_zeros_panics() {
+        // 2^(w-1) * 2 wraps to 0 in an unchecked product.
+        Matrix::zeros(usize::MAX / 2 + 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "more elements than usize holds")]
+    fn overflowing_from_vec_panics() {
+        // A wrapped product would accept the empty buffer.
+        Matrix::from_vec(usize::MAX / 2 + 1, 2, Vec::new());
+    }
+
     proptest! {
-        /// The row-streaming GEMM equals the scalar loop bit for bit on
-        /// random shapes: up to ten full row groups, any remainder, and a
-        /// run of zero inputs in every row of `A` (at times all of them).
+        /// Both blocked GEMMs equal the scalar loop bit for bit on random
+        /// shapes: up to three full blocks plus a remainder, groups cut at
+        /// any block edge, and a run of zero inputs in every row of `A` (at
+        /// times all of them).
         #[test]
         fn unrolled_gemm_bit_identical_random(
-            m in 1usize..12,
-            k in 1usize..41,
+            m in 1usize..13,
+            k in 1usize..3 * K_BLOCK + 6,
             n in 1usize..12,
-            zero_from in 0usize..41,
-            zero_len in 0usize..41,
+            zero_from in 0usize..3 * K_BLOCK + 6,
+            zero_len in 0usize..3 * K_BLOCK + 6,
             seed in 0u64..1000,
         ) {
             let a = fill(m, k, seed, zero_from..zero_from + zero_len);
             let b = fill(k, n, seed.wrapping_add(1), 0..0);
-            prop_assert_eq!(bits(&gemm(&a, &b).data), bits(&gemm_scalar(&a, &b).data));
+            let scalar = bits(&gemm_scalar(&a, &b).data);
+            prop_assert_eq!(bits(&gemm(&a, &b).data), scalar.clone());
+            let generated = gemm_from_fn(&a, n, |r, c| b.get(r, c));
+            prop_assert_eq!(bits(&generated.data), scalar);
         }
 
         /// The row-streaming GEMV equals the scalar loop bit for bit on
         /// the same kind of input.
         #[test]
         fn unrolled_gemv_bit_identical_random(
-            k in 1usize..41,
+            k in 1usize..3 * K_BLOCK + 6,
             n in 1usize..24,
-            zero_from in 0usize..41,
-            zero_len in 0usize..41,
+            zero_from in 0usize..3 * K_BLOCK + 6,
+            zero_len in 0usize..3 * K_BLOCK + 6,
             seed in 0u64..1000,
         ) {
             let x = fill(1, k, seed, zero_from..zero_from + zero_len).data;
