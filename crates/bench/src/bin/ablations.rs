@@ -4,7 +4,7 @@
 
 use edgemm::arch::{ChipConfig, CimGeometry, ClusterKind, SystolicGeometry};
 use edgemm::pruning::{DynamicTopK, DynamicTopKConfig, Pruner};
-use edgemm::sim::{DecodeOptions, Machine, SimConfig};
+use edgemm::sim::{Machine, PruningEffect, SimConfig};
 use edgemm_mllm::{zoo, ModelWorkload};
 use edgemm_mllm::{ActivationGenerator, ActivationProfile};
 
@@ -29,7 +29,7 @@ fn main() {
             &workload,
             edgemm_mllm::Phase::Prefill,
             ClusterKind::ComputeCentric,
-            DecodeOptions::baseline(),
+            PruningEffect::disabled(),
         );
         println!("  {r:>2} x {c:<2}: {:>10.3} ms", result.seconds(1000) * 1e3);
     }
@@ -51,7 +51,7 @@ fn main() {
             &workload,
             edgemm_mllm::Phase::Decode,
             ClusterKind::MemoryCentric,
-            DecodeOptions::baseline(),
+            PruningEffect::disabled(),
         );
         println!("  W = {bits:>2}: {:>10.3} ms", result.seconds(1000) * 1e3);
     }
@@ -84,7 +84,7 @@ fn main() {
             chip,
             ..SimConfig::paper_default()
         });
-        let report = machine.run_request(&workload, DecodeOptions::baseline());
+        let report = machine.run_request(&workload, PruningEffect::disabled());
         println!(
             "  {cc} CC : {mc} MC -> {:>10.3} ms",
             report.total_seconds() * 1e3

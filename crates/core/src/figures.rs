@@ -10,11 +10,10 @@ use edgemm_core::units::Bytes;
 use edgemm_mem::DramModel;
 use edgemm_mllm::{
     gemm_from_fn, ActivationGenerator, ActivationProfile, Matrix, MllmConfig, ModelWorkload, Phase,
-    WorkloadAnalysis,
 };
 use edgemm_pruning::{metrics, DynamicTopK, FixedRatioPruning, Pruner};
 use edgemm_sched::{BandwidthPolicy, TokenLengthManager};
-use edgemm_sim::DecodeOptions;
+use edgemm_sim::PruningEffect;
 
 use crate::system::{EdgeMm, RequestOptions};
 
@@ -38,7 +37,6 @@ pub fn fig2_workload(model: &MllmConfig, output_lengths: &[usize]) -> Vec<Fig2Ro
         .iter()
         .map(|&l| {
             let workload = ModelWorkload::new(model.clone(), 20, l);
-            let analysis = WorkloadAnalysis::new(workload.clone());
             Fig2Row {
                 output_tokens: l,
                 gpu_phase_seconds: Phase::ALL
@@ -47,11 +45,11 @@ pub fn fig2_workload(model: &MllmConfig, output_lengths: &[usize]) -> Vec<Fig2Ro
                     .collect(),
                 phase_flops: Phase::ALL
                     .iter()
-                    .map(|&p| (p, analysis.phase_profile(p).flops))
+                    .map(|&p| (p, workload.phase_flops(p)))
                     .collect(),
                 phase_weight_bytes: Phase::ALL
                     .iter()
-                    .map(|&p| (p, analysis.phase_profile(p).weight_bytes))
+                    .map(|&p| (p, workload.phase_weight_bytes(p)))
                     .collect(),
             }
         })
@@ -161,7 +159,7 @@ fn request_seconds(
 ) -> (Vec<(Phase, f64)>, f64) {
     let run = system.machine().run_request_with_assignment(
         workload,
-        DecodeOptions::baseline(),
+        PruningEffect::disabled(),
         gemm,
         gemv,
     );
@@ -293,16 +291,16 @@ pub fn fig12_pruning(
     let system = EdgeMm::paper_default();
     let workload = ModelWorkload::new(model.clone(), 20, 32);
     let keep = 1.0 - layer_ratio.iter().sum::<f64>() / layers as f64;
-    let dense = system.machine().run_decode_on(
-        &workload,
-        ClusterKind::MemoryCentric,
-        DecodeOptions::baseline(),
-    );
-    let pruned = system.machine().run_decode_on(
-        &workload,
-        ClusterKind::MemoryCentric,
-        DecodeOptions::with_pruning(keep.clamp(0.01, 1.0)),
-    );
+    let decode = |pruning| {
+        system.machine().run_phase_on(
+            &workload,
+            Phase::Decode,
+            ClusterKind::MemoryCentric,
+            pruning,
+        )
+    };
+    let dense = decode(PruningEffect::disabled());
+    let pruned = decode(PruningEffect::with_keep_ratio(keep.clamp(0.01, 1.0)));
     Fig12Report {
         layer_kurtosis,
         layer_pruning_ratio: layer_ratio,
@@ -549,14 +547,19 @@ mod tests {
         let system = EdgeMm::paper_default();
         let workload = ModelWorkload::new(model.clone(), 20, 32);
         let keep = 1.0 - ratio.iter().sum::<f64>() / layers as f64;
-        let decode = |options| {
+        let decode = |pruning| {
             let machine = system.machine();
             machine
-                .run_decode_on(&workload, ClusterKind::MemoryCentric, options)
+                .run_phase_on(
+                    &workload,
+                    Phase::Decode,
+                    ClusterKind::MemoryCentric,
+                    pruning,
+                )
                 .cycles
         };
-        let dense = decode(DecodeOptions::baseline());
-        let pruned = decode(DecodeOptions::with_pruning(keep.clamp(0.01, 1.0)));
+        let dense = decode(PruningEffect::disabled());
+        let pruned = decode(PruningEffect::with_keep_ratio(keep.clamp(0.01, 1.0)));
         Fig12Report {
             layer_kurtosis: kurtosis,
             layer_pruning_ratio: ratio,

@@ -13,15 +13,13 @@ use edgemm_serve::{
     AdmissionControl, PolicyKind, ServeConfig, ServeReport, ServeRequest, ServeSession,
     ServeSimulator, TraceConfig,
 };
-use edgemm_sim::{DecodeOptions, Machine, PruningEffect, RunReport, SimConfig};
+use edgemm_sim::{Machine, PruningEffect, RunReport, SimConfig};
 
 /// How one request should be executed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestOptions {
     /// Enable activation-aware dynamic Top-k weight pruning for the decode FFN.
     pub pruning: bool,
-    /// Stream-batch size for decode (1 = no batching).
-    pub batch: usize,
     /// Seed for the synthetic activation generator used to measure the
     /// pruning keep ratio.
     pub seed: u64,
@@ -31,7 +29,6 @@ impl Default for RequestOptions {
     fn default() -> Self {
         RequestOptions {
             pruning: false,
-            batch: 1,
             seed: 7,
         }
     }
@@ -270,11 +267,6 @@ impl EdgeMm {
         &self.machine
     }
 
-    /// Mutable access to the machine (to change the bandwidth allocation).
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
     /// Measure the dynamic Top-k pruning behaviour on synthetic activations
     /// with the Fig. 3 channel statistics, for `tokens` generated tokens.
     ///
@@ -340,39 +332,40 @@ impl EdgeMm {
         }
     }
 
-    fn decode_options(
+    /// The decode pruning effect of the keep ratio measured over 4 tokens
+    /// of `workload`'s model, and the measurement behind it: the one place
+    /// single requests and serving runs turn a measurement into an effect.
+    fn measured_pruning(
+        &self,
+        workload: &ModelWorkload,
+        seed: u64,
+    ) -> (PruningEffect, PruningMeasurement) {
+        let measurement = self.measure_pruning(workload, seed, 4);
+        let keep_ratio = measurement.average_keep_ratio.clamp(0.01, 1.0);
+        (PruningEffect::with_keep_ratio(keep_ratio), measurement)
+    }
+
+    /// The decode pruning effect of one request under `options`, and the
+    /// measurement behind it when pruning is on.
+    fn decode_pruning(
         &self,
         workload: &ModelWorkload,
         options: RequestOptions,
-    ) -> (DecodeOptions, Option<PruningMeasurement>) {
+    ) -> (PruningEffect, Option<PruningMeasurement>) {
         if options.pruning {
-            let measurement = self.measure_pruning(workload, options.seed, 4);
-            (
-                DecodeOptions {
-                    pruning: PruningEffect::with_keep_ratio(
-                        measurement.average_keep_ratio.clamp(0.01, 1.0),
-                    ),
-                    batch: options.batch,
-                },
-                Some(measurement),
-            )
+            let (effect, measurement) = self.measured_pruning(workload, options.seed);
+            (effect, Some(measurement))
         } else {
-            (
-                DecodeOptions {
-                    pruning: PruningEffect::disabled(),
-                    batch: options.batch,
-                },
-                None,
-            )
+            (PruningEffect::disabled(), None)
         }
     }
 
     /// Execute one request end to end (sequential phases, heterogeneous
     /// schedule: GEMM phases on CC clusters, decode on MC clusters).
     pub fn run(&self, workload: &ModelWorkload, options: RequestOptions) -> SystemReport {
-        let (decode, pruning) = self.decode_options(workload, options);
-        let run = self.machine.run_request(workload, decode);
-        self.report(workload, run, pruning)
+        let (pruning, measurement) = self.decode_pruning(workload, options);
+        let run = self.machine.run_request(workload, pruning);
+        self.report(workload, run, measurement)
     }
 
     fn report(
@@ -410,8 +403,7 @@ impl EdgeMm {
     fn serving_pruning(&self, model: &MllmConfig, options: ServeOptions) -> PruningEffect {
         if options.pruning {
             let reference = ModelWorkload::new(model.clone(), 20, 32);
-            let measurement = self.measure_pruning(&reference, options.seed, 4);
-            PruningEffect::with_keep_ratio(measurement.average_keep_ratio.clamp(0.01, 1.0))
+            self.measured_pruning(&reference, options.seed).0
         } else {
             PruningEffect::disabled()
         }
@@ -580,7 +572,7 @@ impl EdgeMm {
     pub fn pipeline_for(&self, workload: &ModelWorkload, options: RequestOptions) -> Pipeline {
         let clock_hz = self.machine.config().chip.clock_mhz as f64 * 1.0e6;
         let bw = self.machine.config().dram.peak_gib_s;
-        let (decode, _) = self.decode_options(workload, options);
+        let (pruning, _) = self.decode_pruning(workload, options);
         let cc_phases = [Phase::VisionEncode, Phase::Projector, Phase::Prefill];
         let mut cc_compute = 0.0;
         let mut cc_bytes = 0.0;
@@ -589,7 +581,7 @@ impl EdgeMm {
                 workload,
                 phase,
                 edgemm_arch::ClusterKind::ComputeCentric,
-                decode,
+                pruning,
             );
             cc_compute += r.compute_cycles.seconds_at(clock_hz);
             cc_bytes += r.dram_bytes.as_f64();
@@ -598,7 +590,7 @@ impl EdgeMm {
             workload,
             Phase::Decode,
             edgemm_arch::ClusterKind::MemoryCentric,
-            DecodeOptions { batch: 1, ..decode },
+            pruning,
         );
         let tokens = workload.output_tokens() as f64;
         Pipeline::new(
@@ -672,10 +664,9 @@ mod tests {
         let hetero = EdgeMm::paper_default().run(&w, RequestOptions::default());
         let homo_cc = {
             let system = EdgeMm::homo_cc();
-            let decode = DecodeOptions::baseline();
             let run = system.machine().run_request_with_assignment(
                 &w,
-                decode,
+                PruningEffect::disabled(),
                 edgemm_arch::ClusterKind::ComputeCentric,
                 edgemm_arch::ClusterKind::ComputeCentric,
             );
@@ -683,10 +674,9 @@ mod tests {
         };
         let homo_mc = {
             let system = EdgeMm::homo_mc();
-            let decode = DecodeOptions::baseline();
             let run = system.machine().run_request_with_assignment(
                 &w,
-                decode,
+                PruningEffect::disabled(),
                 edgemm_arch::ClusterKind::MemoryCentric,
                 edgemm_arch::ClusterKind::MemoryCentric,
             );
@@ -775,22 +765,5 @@ mod tests {
             pruned.tokens_per_second(),
             dense.tokens_per_second()
         );
-    }
-
-    #[test]
-    fn batching_increases_throughput() {
-        let system = EdgeMm::paper_default();
-        let w = workload(128);
-        let single = system.run(&w, RequestOptions::default());
-        let batched = system.run(
-            &w,
-            RequestOptions {
-                batch: 8,
-                ..RequestOptions::default()
-            },
-        );
-        // The batched run generates 8x the tokens in less than 8x the time,
-        // i.e. the per-request latency grows sub-linearly.
-        assert!(batched.latency_s < 8.0 * single.latency_s);
     }
 }

@@ -11,10 +11,8 @@
 //! * the **layer geometry** of the representative MLLMs of Table I
 //!   ([`zoo`] module),
 //! * the **operator stream** of each inference phase — which GEMMs and GEMVs
-//!   of which shapes run, with their FLOP counts and DRAM traffic
-//!   ([`workload`](crate::ModelWorkload)),
-//! * the **analytical profile** behind Fig. 2 (FLOPs, parameters and memory
-//!   accesses per phase),
+//!   of which shapes run, with their FLOP counts and DRAM traffic, summed
+//!   per phase for Fig. 2 ([`workload`](crate::ModelWorkload)),
 //! * a **synthetic activation generator** whose channel-magnitude
 //!   distribution reproduces the sparsity-with-outliers structure of Fig. 3,
 //!   so the pruning experiments are meaningful without real weights.
@@ -23,14 +21,12 @@
 #![warn(missing_docs)]
 
 mod activation;
-mod analysis;
 mod config;
 mod tensor;
 mod workload;
 pub mod zoo;
 
 pub use activation::{ActivationGenerator, ActivationProfile};
-pub use analysis::{MemoryBreakdown, PhaseProfile, WorkloadAnalysis};
 pub use config::{LlmConfig, MllmConfig, ProjectorConfig, ProjectorKind, VisionEncoderConfig};
-pub use tensor::{gemm, gemm_from_fn, gemv, Matrix};
+pub use tensor::{gemm_from_fn, gemv, Matrix};
 pub use workload::{MatmulOp, ModelWorkload, OpKind, Phase, TrafficClass};

@@ -2,17 +2,17 @@
 //!
 //! The accuracy-side experiments (cosine similarity of pruned vs unpruned
 //! FFN outputs, Fig. 12b) need real arithmetic, not just operator shapes.
-//! A tiny row-major [`Matrix`] plus free [`gemm`]/[`gemm_from_fn`]/[`gemv`]
+//! A tiny row-major [`Matrix`] plus free [`gemm_from_fn`]/[`gemv`]
 //! functions keep those experiments dependency-free.
 //!
 //! The kernels stream the weight matrix row by row, as EdgeMM's hardware
 //! does: a pruned (zero) input's weight row is never read, and a kept row
-//! is read contiguously. The GEMMs fold each block of weight rows into
-//! every input row before moving on, so the weights stream once per call
-//! whatever the number of inputs, as a stream batch shares one weight
-//! fetch (Fig. 9c); [`gemm_from_fn`] generates each block as it goes and
-//! never holds the whole matrix. The result is bit-identical to the scalar
-//! loop.
+//! is read contiguously. The one GEMM, [`gemm_from_fn`], generates the
+//! weights a block of rows at a time and folds each block into every input
+//! row before moving on, so the weights stream once per call whatever the
+//! number of inputs, as a stream batch shares one weight fetch (Fig. 9c),
+//! and the whole matrix is never held. The result is bit-identical to the
+//! scalar loop.
 
 use edgemm_core::float::is_zero_f32;
 
@@ -123,8 +123,8 @@ fn element_count(rows: usize, cols: usize) -> usize {
 /// Kept weight rows folded into the outputs per pass of [`accumulate_rows`].
 const GROUP: usize = 4;
 
-/// Weight rows the GEMMs fold into every input row per pass of
-/// [`fold_block`]. A block of Fig. 12's 5,632-column matrix is 704 KiB, so
+/// Weight rows [`gemm_from_fn`] generates and folds into every input row
+/// per pass. A block of Fig. 12's 5,632-column matrix is 704 KiB, so
 /// it stays in a 2 MiB L2 cache while every input row reads it. On a 2-core
 /// x86-64 VM, Fig. 12 ran as fast with 16 rows and ~7% slower with 64.
 const K_BLOCK: usize = 32;
@@ -170,46 +170,13 @@ fn accumulate_rows(x: &[f32], w: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Folds weight rows `k0..` (row-major in `w`, `out.cols()` wide) into every
-/// row of `out`: `out[i] += A[i][k0..k1] · w`.
-///
-/// Each output row persists across blocks and blocks come in ascending
-/// `k0`, so every output element still adds its nonzero products in
-/// ascending `k`. A group of [`GROUP`] cut short at a block edge is added
-/// one row at a time, and `((((o + p0) + p1) + p2) + p3)` is exactly the
-/// grouped expression, so the block edges do not move a bit.
-fn fold_block(a: &Matrix, k0: usize, w: &[f32], out: &mut Matrix) {
-    let k1 = k0 + w.len() / out.cols;
-    let rows = a
-        .data
-        .chunks_exact(a.cols)
-        .zip(out.data.chunks_exact_mut(out.cols));
-    for (arow, orow) in rows {
-        accumulate_rows(&arow[k0..k1], w, orow);
-    }
-}
-
-/// Dense GEMM: `A (m x k) * B (k x n) -> (m x n)`, streaming each block of
-/// 32 rows of `B` once through every row of `A` and skipping the rows
-/// whose `A` entry is zero.
-///
-/// # Panics
-///
-/// Panics if the inner dimensions disagree.
-pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    for (i, block) in b.data.chunks(K_BLOCK * b.cols).enumerate() {
-        fold_block(a, i * K_BLOCK, block, &mut out);
-    }
-    out
-}
-
-/// [`gemm`] with `B[r][c] = weight(r, c)`, for a `B` of `a.cols()` rows
-/// and `cols` columns that is never held whole: `B` is generated 32 rows
-/// at a time into one reused buffer. `weight` is called exactly once per
-/// element, in row-major order, and the result is bit-identical to
-/// `gemm(a, &Matrix::from_fn(a.cols(), cols, weight))`.
+/// GEMM `A (m x k) * B (k x cols) -> (m x cols)` with `B[r][c] =
+/// weight(r, c)`, for a `B` that is never held whole: `B` is generated 32
+/// rows at a time into one reused buffer, and each block is folded into
+/// every row of `A` before the next is generated, skipping the rows whose
+/// `A` entry is zero. `weight` is called exactly once per element, in
+/// row-major order, and the result is bit-identical to the scalar loop
+/// over a materialised `B`.
 ///
 /// # Panics
 ///
@@ -222,11 +189,23 @@ pub fn gemm_from_fn(
     let mut out = Matrix::zeros(a.rows(), cols);
     let mut block = Vec::with_capacity(K_BLOCK.min(a.cols) * cols);
     for k0 in (0..a.cols).step_by(K_BLOCK) {
+        let k1 = (k0 + K_BLOCK).min(a.cols);
         block.clear();
-        for r in k0..(k0 + K_BLOCK).min(a.cols) {
+        for r in k0..k1 {
             block.extend((0..cols).map(|c| weight(r, c)));
         }
-        fold_block(a, k0, &block, &mut out);
+        // Output rows persist across blocks and blocks ascend, so each
+        // element still adds its nonzero products in ascending `k`. A group
+        // of `GROUP` cut short at a block edge is added one row at a time,
+        // and `((((o + p0) + p1) + p2) + p3)` is exactly the grouped
+        // expression, so the block edges do not move a bit.
+        let rows = a
+            .data
+            .chunks_exact(a.cols)
+            .zip(out.data.chunks_exact_mut(cols));
+        for (arow, orow) in rows {
+            accumulate_rows(&arow[k0..k1], &block, orow);
+        }
     }
     out
 }
@@ -253,6 +232,11 @@ mod tests {
     fn gemm_scalar(a: &Matrix, b: &Matrix) -> Matrix {
         let rows = a.data.chunks_exact(a.cols).flat_map(|x| gemv_scalar(x, b));
         Matrix::from_vec(a.rows, b.cols, rows.collect())
+    }
+
+    /// [`gemm_from_fn`] over the weights of a materialised `b`.
+    fn gemm_over(a: &Matrix, b: &Matrix) -> Matrix {
+        gemm_from_fn(a, b.cols, |r, c| b.get(r, c))
     }
 
     fn gemv_scalar(x: &[f32], b: &Matrix) -> Vec<f32> {
@@ -301,7 +285,7 @@ mod tests {
             (4, 4, 8),
         ] {
             let (a, b) = (fill(m, k, 17, 0..0), fill(k, n, 91, 0..0));
-            let (streamed, scalar) = (gemm(&a, &b), gemm_scalar(&a, &b));
+            let (streamed, scalar) = (gemm_over(&a, &b), gemm_scalar(&a, &b));
             assert_eq!(bits(&streamed.data), bits(&scalar.data), "{m}x{k}x{n}");
         }
     }
@@ -331,18 +315,9 @@ mod tests {
         assert!(out.iter().all(|v| v.is_finite()), "{out:?}");
         assert_eq!(bits(&out), bits(&gemv_scalar(&x, &b)));
         let a = Matrix::from_vec(1, 16, x.to_vec());
-        assert_eq!(bits(&gemm(&a, &b).data), bits(&out));
+        assert_eq!(bits(&gemm_over(&a, &b).data), bits(&out));
         let zeros = [0.0; 16];
         assert_eq!(bits(&gemv(&zeros, &b)), bits(&[0.0; 6]), "all-zero input");
-    }
-
-    /// `gemm` and `gemm_from_fn` over the same weights, each checked bit for
-    /// bit against the scalar oracle.
-    fn assert_gemms_match_scalar(a: &Matrix, b: &Matrix, label: &str) {
-        let scalar = bits(&gemm_scalar(a, b).data);
-        assert_eq!(bits(&gemm(a, b).data), scalar, "gemm {label}");
-        let generated = gemm_from_fn(a, b.cols, |r, c| b.get(r, c));
-        assert_eq!(bits(&generated.data), scalar, "gemm_from_fn {label}");
     }
 
     #[test]
@@ -368,7 +343,11 @@ mod tests {
             ] {
                 let a = fill(5, k, seed, zeros.clone());
                 let b = fill(k, 7, seed + 1, 0..0);
-                assert_gemms_match_scalar(&a, &b, &format!("k={k} zeros={zeros:?}"));
+                assert_eq!(
+                    bits(&gemm_over(&a, &b).data),
+                    bits(&gemm_scalar(&a, &b).data),
+                    "k={k} zeros={zeros:?}"
+                );
                 cut += a
                     .data
                     .chunks_exact(k)
@@ -386,15 +365,16 @@ mod tests {
     fn blocked_gemms_never_read_rows_that_every_input_skips() {
         // Columns K_BLOCK-3 to K_BLOCK+4 of every row of A are zero, so their
         // weight rows, ∞ and NaN here, straddle the first block edge and
-        // must never be read by either kernel.
+        // must never be read.
         let (k, zeros) = (2 * K_BLOCK + 3, K_BLOCK - 3..K_BLOCK + 5);
         let a = fill(6, k, 41, zeros.clone());
         let b = Matrix::from_fn(k, 9, |r, c| match zeros.contains(&r) {
             true => [f32::INFINITY, f32::NAN, f32::NEG_INFINITY][c % 3],
             false => 0.1 * ((r * 9 + c) % 31) as f32 - 1.45,
         });
-        assert!(gemm(&a, &b).data.iter().all(|v| v.is_finite()));
-        assert_gemms_match_scalar(&a, &b, "non-finite skipped rows");
+        let out = gemm_over(&a, &b);
+        assert!(out.data.iter().all(|v| v.is_finite()));
+        assert_eq!(bits(&out.data), bits(&gemm_scalar(&a, &b).data));
     }
 
     #[test]
@@ -414,7 +394,7 @@ mod tests {
     fn identity_gemm() {
         let a = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
         let b = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32);
-        let out = gemm(&a, &b);
+        let out = gemm_over(&a, &b);
         assert_eq!(out, b);
     }
 
@@ -422,7 +402,7 @@ mod tests {
     fn known_product() {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let b = Matrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
-        let out = gemm(&a, &b);
+        let out = gemm_over(&a, &b);
         assert_eq!(out.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
     }
 
@@ -432,7 +412,7 @@ mod tests {
         let b = Matrix::from_fn(3, 4, |r, c| (r + c) as f32 * 0.5);
         let v = gemv(&x, &b);
         let a = Matrix::from_vec(1, 3, x.clone());
-        let m = gemm(&a, &b);
+        let m = gemm_over(&a, &b);
         assert_eq!(v.as_slice(), m.as_slice());
     }
 
@@ -444,14 +424,6 @@ mod tests {
         assert_eq!(m.row(1), &[0.0, 0.0, 7.0]);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimensions must agree")]
-    fn mismatched_gemm_panics() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        gemm(&a, &b);
     }
 
     #[test]
@@ -475,7 +447,7 @@ mod tests {
     }
 
     proptest! {
-        /// Both blocked GEMMs equal the scalar loop bit for bit on random
+        /// The blocked GEMM equals the scalar loop bit for bit on random
         /// shapes: up to three full blocks plus a remainder, groups cut at
         /// any block edge, and a run of zero inputs in every row of `A` (at
         /// times all of them).
@@ -490,10 +462,7 @@ mod tests {
         ) {
             let a = fill(m, k, seed, zero_from..zero_from + zero_len);
             let b = fill(k, n, seed.wrapping_add(1), 0..0);
-            let scalar = bits(&gemm_scalar(&a, &b).data);
-            prop_assert_eq!(bits(&gemm(&a, &b).data), scalar.clone());
-            let generated = gemm_from_fn(&a, n, |r, c| b.get(r, c));
-            prop_assert_eq!(bits(&generated.data), scalar);
+            prop_assert_eq!(bits(&gemm_over(&a, &b).data), bits(&gemm_scalar(&a, &b).data));
         }
 
         /// The row-streaming GEMV equals the scalar loop bit for bit on

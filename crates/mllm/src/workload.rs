@@ -636,12 +636,19 @@ mod tests {
     #[test]
     fn phase_flops_scale_decode_by_output_tokens() {
         let w = workload();
-        let one_step: u64 = w
-            .average_decode_step_ops()
-            .iter()
-            .map(MatmulOp::flops)
-            .sum();
+        let step = w.average_decode_step_ops();
+        let one_step: u64 = step.iter().map(MatmulOp::flops).sum();
         assert_eq!(w.phase_flops(Phase::Decode), one_step * 64);
+        // Decode re-reads its weights every step, so its traffic scales the
+        // same way, while the other phases read theirs once whatever the
+        // output length: the decode share of Fig. 2 grows with it.
+        let bytes_per_weight = w.config().weight_bytes;
+        let step_bytes: u64 = step.iter().map(|o| o.weight_bytes(bytes_per_weight)).sum();
+        assert_eq!(w.phase_weight_bytes(Phase::Decode), step_bytes * 64);
+        let short = ModelWorkload::new(zoo::sphinx_tiny(), 20, 16);
+        for phase in [Phase::VisionEncode, Phase::Projector, Phase::Prefill] {
+            assert_eq!(short.phase_weight_bytes(phase), w.phase_weight_bytes(phase));
+        }
     }
 
     #[test]

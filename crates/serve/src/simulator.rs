@@ -66,7 +66,7 @@ use edgemm_core::float::is_one;
 use edgemm_core::units::{clock_hz, Bytes, BytesPerToken, Cycles, Tokens};
 use edgemm_mem::{prefix_key, BlockTable, DmaEngine, KvPool, PagedKvPool, SpillTicket};
 use edgemm_mllm::{MllmConfig, ModelWorkload, Phase, TrafficClass};
-use edgemm_sim::{DecodeOptions, Machine, OpCost, PruningEffect};
+use edgemm_sim::{Machine, OpCost, PruningEffect};
 
 use crate::metrics::{QueueSample, ServeReport};
 use crate::policy::QueuedRequest;
@@ -550,10 +550,6 @@ impl<'a> ServeSimulator<'a> {
             request.text_tokens,
             request.output_tokens,
         );
-        let decode = DecodeOptions {
-            pruning: self.config.pruning,
-            batch: 1,
-        };
         let cc_kind = ClusterKind::ComputeCentric;
         // Vision encode + projector always run ahead of the first prompt
         // chunk; they are unsplittable and folded into chunk 0. Their
@@ -564,7 +560,7 @@ impl<'a> ServeSimulator<'a> {
                 .iter()
                 .map(|&phase| {
                     self.machine
-                        .run_phase_on(&workload, phase, cc_kind, decode)
+                        .run_phase_on(&workload, phase, cc_kind, PruningEffect::disabled())
                         .cycles
                 })
                 .sum()
@@ -1549,7 +1545,7 @@ mod tests {
             for (text, output) in [(20, 8), (0, 1), (96, 33), (300, 64)] {
                 let request = ServeRequest::new(0, 0.0, text, output);
                 let workload = ModelWorkload::new(zoo::sphinx_tiny(), text, output);
-                let single = m.run_request(&workload, DecodeOptions { pruning, batch: 1 });
+                let single = m.run_request(&workload, pruning);
                 let solo = sim.solo_cycles(&request);
                 assert_eq!(
                     solo,
@@ -1680,13 +1676,13 @@ mod tests {
         // walks every layer's operators. The reference engine shares
         // `admit`, so only this test would catch a wrong layer multiplier.
         let m = machine();
-        let options = DecodeOptions::baseline();
+        let dense = PruningEffect::disabled();
         for model in zoo::table1_models() {
             let setup: Cycles = [Phase::VisionEncode, Phase::Projector]
                 .iter()
                 .map(|&phase| {
                     let workload = ModelWorkload::new(model.clone(), 0, 1);
-                    m.run_phase_on(&workload, phase, ClusterKind::ComputeCentric, options)
+                    m.run_phase_on(&workload, phase, ClusterKind::ComputeCentric, dense)
                         .cycles
                 })
                 .sum();
@@ -2102,7 +2098,7 @@ mod tests {
                     &workload,
                     phase,
                     ClusterKind::ComputeCentric,
-                    DecodeOptions::baseline(),
+                    PruningEffect::disabled(),
                 )
                 .cycles
             })

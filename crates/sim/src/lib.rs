@@ -24,6 +24,6 @@ mod mapping;
 mod report;
 
 pub use kernel::{OpCost, PruningEffect};
-pub use machine::{DecodeOptions, Machine, SimConfig};
+pub use machine::{Machine, SimConfig};
 pub use mapping::{Mapping, MappingExplorer, Partition};
 pub use report::{PhaseResult, RunReport};

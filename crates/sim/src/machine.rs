@@ -68,41 +68,6 @@ impl Default for SimConfig {
     }
 }
 
-/// Options controlling the decode-phase simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DecodeOptions {
-    /// Activation-aware pruning effect applied to prunable FFN GEMVs.
-    pub pruning: PruningEffect,
-    /// Batch size of stream-batch decoding: the weights fetched for one step
-    /// are reused across `batch` concurrent requests, so the per-step DRAM
-    /// traffic is amortised while the compute scales with the batch.
-    pub batch: usize,
-}
-
-impl DecodeOptions {
-    /// Plain single-stream decoding without pruning.
-    pub fn baseline() -> Self {
-        DecodeOptions {
-            pruning: PruningEffect::disabled(),
-            batch: 1,
-        }
-    }
-
-    /// Single-stream decoding with pruning at the given keep ratio.
-    pub fn with_pruning(keep_ratio: f64) -> Self {
-        DecodeOptions {
-            pruning: PruningEffect::with_keep_ratio(keep_ratio),
-            batch: 1,
-        }
-    }
-}
-
-impl Default for DecodeOptions {
-    fn default() -> Self {
-        Self::baseline()
-    }
-}
-
 /// Everything [`Machine::op_cost`] reads from an operator, minus its name
 /// and phase (labels that never enter the cost formulas). Two ops with the
 /// same key — e.g. the identical FFN GEMV repeated in every decoder layer —
@@ -302,24 +267,40 @@ impl Machine {
         }
     }
 
-    /// Simulate one phase of a workload on the cluster kind that EdgeMM's
-    /// scheduler would assign it to (encoder/projector/prefill on CC, decode
-    /// on MC) — or on the requested kind for ablations.
+    /// Simulate one phase of a workload on `kind`: the cluster kind EdgeMM's
+    /// scheduler assigns it to (encoder/projector/prefill on CC, decode on
+    /// MC), or another for the ablations.
+    ///
+    /// The decode phase covers every output token: one average step (cached
+    /// context = prompt plus half the output, [`ModelWorkload::phase_ops`])
+    /// priced by [`Self::run_ops`] and repeated `output_tokens` times.
+    /// `pruning` applies to the decode phase only; the GEMM phases always
+    /// run dense.
     pub fn run_phase_on(
         &self,
         workload: &ModelWorkload,
         phase: Phase,
         kind: ClusterKind,
-        options: DecodeOptions,
+        pruning: PruningEffect,
     ) -> PhaseResult {
-        match phase {
-            Phase::Decode => self.run_decode_on(workload, kind, options),
-            _ => self.run_ops(
-                phase,
-                &workload.phase_ops(phase),
-                kind,
-                PruningEffect::disabled(),
-            ),
+        let ops = workload.phase_ops(phase);
+        if phase != Phase::Decode {
+            return self.run_ops(phase, &ops, kind, PruningEffect::disabled());
+        }
+        let step = self.run_ops(phase, &ops, kind, pruning);
+        let tokens = workload.output_tokens();
+        PhaseResult {
+            phase,
+            cycles: step.cycles * tokens,
+            compute_cycles: step.compute_cycles * tokens,
+            dram_cycles: step.dram_cycles * tokens,
+            dram_bytes: step.dram_bytes * tokens,
+            traffic: step
+                .traffic
+                .into_iter()
+                .map(|(c, b)| (c, b * tokens))
+                .collect(),
+            ops: step.ops * tokens,
         }
     }
 
@@ -371,34 +352,19 @@ impl Machine {
         chunks
     }
 
-    /// Per-operator costs of one "average" decode step on `kind` (cached
-    /// context = prompt plus half the output), in operator-stream order.
-    ///
-    /// This is the step the whole-phase decode model prices:
-    /// [`Self::run_decode_step_on`] batches it and [`Self::run_decode_on`]
-    /// repeats it for every output token. The per-op breakdown keeps each
-    /// operator's traffic class, so a caller can share the weight fetches
-    /// across a stream batch while charging KV-cache traffic and compute
-    /// per stream. The serving simulator builds its step pricing on
-    /// [`Self::decode_step_costs_at`] instead, at explicit contexts.
-    pub fn decode_step_costs(
-        &self,
-        workload: &ModelWorkload,
-        kind: ClusterKind,
-        pruning: PruningEffect,
-    ) -> Vec<OpCost> {
-        self.decode_step_costs_at(workload, kind, pruning, workload.average_context_tokens())
-    }
-
     /// Per-operator costs of one decode step on `kind` with exactly
     /// `context_tokens` tokens cached, in operator-stream order.
     ///
     /// Only the KV-facing attention operators (scores and context
     /// aggregation) depend on the context; the weight-facing operators cost
-    /// the same at any context length. [`Self::decode_step_costs`] is the
-    /// special case at the workload's average context — paged serving
-    /// instead prices every step of every stream at that stream's *actual*
-    /// context length, retiring the averaging simplification.
+    /// the same at any context length. At the workload's average context
+    /// these are the costs [`Self::run_phase_on`] sums into its decode step;
+    /// paged serving instead prices every step of every stream at that
+    /// stream's *actual* context length, retiring the averaging
+    /// simplification. The per-op breakdown keeps each operator's traffic
+    /// class, so the serving simulator can share the weight fetches across
+    /// a stream batch while charging KV-cache traffic and compute per
+    /// stream.
     pub fn decode_step_costs_at(
         &self,
         workload: &ModelWorkload,
@@ -413,69 +379,12 @@ impl Machine {
             .collect()
     }
 
-    /// Simulate one stream-batched decode step (one token per stream) on
-    /// `kind`: compute repeats for every request in the batch while the
-    /// weight fetch is shared across the batch.
-    pub fn run_decode_step_on(
-        &self,
-        workload: &ModelWorkload,
-        kind: ClusterKind,
-        options: DecodeOptions,
-    ) -> PhaseResult {
-        assert!(options.batch >= 1, "batch must be at least 1");
-        let mut step = PhaseResult::empty(Phase::Decode);
-        for cost in self.decode_step_costs(workload, kind, options.pruning) {
-            let compute = cost.compute_cycles * options.batch;
-            let latency = compute.max(cost.dram_cycles);
-            step.cycles += latency;
-            step.compute_cycles += compute;
-            step.dram_cycles += cost.dram_cycles;
-            step.dram_bytes += cost.dram_bytes;
-            *step
-                .traffic
-                .entry(cost.traffic_class)
-                .or_insert(Bytes::ZERO) += cost.dram_bytes;
-            step.ops += 1;
-        }
-        step
-    }
-
-    /// Simulate the whole decode phase (all output tokens) on `kind`.
-    ///
-    /// Stream-batch decoding reuses the fetched weights across the batch:
-    /// DRAM traffic stays that of one step while compute repeats per request,
-    /// and the result covers `output_tokens` steps for every stream, i.e. the
-    /// reported cycles are for generating `output_tokens * batch` tokens.
-    pub fn run_decode_on(
-        &self,
-        workload: &ModelWorkload,
-        kind: ClusterKind,
-        options: DecodeOptions,
-    ) -> PhaseResult {
-        let step = self.run_decode_step_on(workload, kind, options);
-        // Repeat for every generated token.
-        let tokens = workload.output_tokens();
-        PhaseResult {
-            phase: Phase::Decode,
-            cycles: step.cycles * tokens,
-            compute_cycles: step.compute_cycles * tokens,
-            dram_cycles: step.dram_cycles * tokens,
-            dram_bytes: step.dram_bytes * tokens,
-            traffic: step
-                .traffic
-                .into_iter()
-                .map(|(c, b)| (c, b * tokens))
-                .collect(),
-            ops: step.ops * tokens,
-        }
-    }
-
     /// Simulate a full request on the heterogeneous schedule: vision encoder,
     /// projector and prefill on the CC clusters, decode on the MC clusters.
-    pub fn run_request(&self, workload: &ModelWorkload, options: DecodeOptions) -> RunReport {
+    pub fn run_request(&self, workload: &ModelWorkload, pruning: PruningEffect) -> RunReport {
         self.run_request_with_assignment(
             workload,
-            options,
+            pruning,
             ClusterKind::ComputeCentric,
             ClusterKind::MemoryCentric,
         )
@@ -486,15 +395,15 @@ impl Machine {
     pub fn run_request_with_assignment(
         &self,
         workload: &ModelWorkload,
-        options: DecodeOptions,
+        pruning: PruningEffect,
         gemm_kind: ClusterKind,
         gemv_kind: ClusterKind,
     ) -> RunReport {
         let phases = vec![
-            self.run_phase_on(workload, Phase::VisionEncode, gemm_kind, options),
-            self.run_phase_on(workload, Phase::Projector, gemm_kind, options),
-            self.run_phase_on(workload, Phase::Prefill, gemm_kind, options),
-            self.run_phase_on(workload, Phase::Decode, gemv_kind, options),
+            self.run_phase_on(workload, Phase::VisionEncode, gemm_kind, pruning),
+            self.run_phase_on(workload, Phase::Projector, gemm_kind, pruning),
+            self.run_phase_on(workload, Phase::Prefill, gemm_kind, pruning),
+            self.run_phase_on(workload, Phase::Decode, gemv_kind, pruning),
         ];
         RunReport {
             phases,
@@ -520,10 +429,11 @@ mod tests {
     #[test]
     fn decode_is_memory_bound_on_mc_clusters() {
         let m = hetero();
-        let result = m.run_decode_on(
+        let result = m.run_phase_on(
             &workload(8),
+            Phase::Decode,
             ClusterKind::MemoryCentric,
-            DecodeOptions::baseline(),
+            PruningEffect::disabled(),
         );
         assert!(
             result.memory_bound_fraction() > 0.5,
@@ -577,8 +487,9 @@ mod tests {
         // Fig. 11: an MC cluster is ~2.42x faster in GEMV.
         let m = hetero();
         let w = workload(8);
-        let mc = m.run_decode_on(&w, ClusterKind::MemoryCentric, DecodeOptions::baseline());
-        let cc = m.run_decode_on(&w, ClusterKind::ComputeCentric, DecodeOptions::baseline());
+        let decode = |kind| m.run_phase_on(&w, Phase::Decode, kind, PruningEffect::disabled());
+        let mc = decode(ClusterKind::MemoryCentric);
+        let cc = decode(ClusterKind::ComputeCentric);
         let ratio = cc.cycles.ratio(mc.cycles);
         assert!(ratio > 1.5 && ratio < 4.0, "GEMV MC advantage = {ratio}");
     }
@@ -588,38 +499,14 @@ mod tests {
         // The paper reports a 42% average decode-latency reduction.
         let m = hetero();
         let w = workload(16);
-        let dense = m.run_decode_on(&w, ClusterKind::MemoryCentric, DecodeOptions::baseline());
-        let pruned = m.run_decode_on(
-            &w,
-            ClusterKind::MemoryCentric,
-            DecodeOptions::with_pruning(0.5),
-        );
+        let decode =
+            |pruning| m.run_phase_on(&w, Phase::Decode, ClusterKind::MemoryCentric, pruning);
+        let dense = decode(PruningEffect::disabled());
+        let pruned = decode(PruningEffect::with_keep_ratio(0.5));
         let reduction = 1.0 - pruned.cycles.ratio(dense.cycles);
         assert!(
             reduction > 0.25 && reduction < 0.6,
             "reduction = {reduction}"
-        );
-    }
-
-    #[test]
-    fn batch_decoding_boosts_throughput_per_fetch() {
-        let m = hetero();
-        let w = workload(32);
-        let single = m.run_decode_on(&w, ClusterKind::MemoryCentric, DecodeOptions::baseline());
-        let batched = m.run_decode_on(
-            &w,
-            ClusterKind::MemoryCentric,
-            DecodeOptions {
-                pruning: PruningEffect::disabled(),
-                batch: 8,
-            },
-        );
-        // 8x the tokens for much less than 8x the cycles.
-        let token_ratio = 8.0;
-        let cycle_ratio = batched.cycles.ratio(single.cycles);
-        assert!(
-            cycle_ratio < 0.6 * token_ratio,
-            "cycle ratio = {cycle_ratio}"
         );
     }
 
@@ -631,7 +518,12 @@ mod tests {
                 allocation,
                 ..SimConfig::paper_default()
             })
-            .run_decode_on(&w, ClusterKind::MemoryCentric, DecodeOptions::baseline())
+            .run_phase_on(
+                &w,
+                Phase::Decode,
+                ClusterKind::MemoryCentric,
+                PruningEffect::disabled(),
+            )
         };
         let equal = decode(BandwidthAllocation::equal());
         let skewed = decode(BandwidthAllocation::from_ratio(1.0, 7.0));
@@ -641,7 +533,7 @@ mod tests {
     #[test]
     fn full_request_report_contains_all_phases() {
         let m = hetero();
-        let report = m.run_request(&workload(16), DecodeOptions::baseline());
+        let report = m.run_request(&workload(16), PruningEffect::disabled());
         assert_eq!(report.phases.len(), 4);
         assert!(report.total_cycles() > 0);
         assert!(report.tokens_per_second() > 0.0);
@@ -652,8 +544,8 @@ mod tests {
     fn decode_dominates_latency_for_long_outputs() {
         // Fig. 2a: the decode share of latency grows with the output length.
         let m = hetero();
-        let short = m.run_request(&workload(8), DecodeOptions::baseline());
-        let long = m.run_request(&workload(256), DecodeOptions::baseline());
+        let short = m.run_request(&workload(8), PruningEffect::disabled());
+        let long = m.run_request(&workload(256), PruningEffect::disabled());
         let share = |r: &RunReport| {
             r.phase(Phase::Decode)
                 .unwrap()
@@ -667,16 +559,15 @@ mod tests {
     #[test]
     fn decode_cycles_scale_linearly_with_output_tokens() {
         let m = hetero();
-        let eight = m.run_decode_on(
-            &workload(8),
-            ClusterKind::MemoryCentric,
-            DecodeOptions::baseline(),
-        );
-        let sixteen = m.run_decode_on(
-            &workload(16),
-            ClusterKind::MemoryCentric,
-            DecodeOptions::baseline(),
-        );
+        let decode = |tokens| {
+            m.run_phase_on(
+                &workload(tokens),
+                Phase::Decode,
+                ClusterKind::MemoryCentric,
+                PruningEffect::disabled(),
+            )
+        };
+        let (eight, sixteen) = (decode(8), decode(16));
         let ratio = sixteen.cycles.ratio(eight.cycles);
         assert!((ratio - 2.0).abs() < 0.15, "ratio = {ratio}");
     }
@@ -685,12 +576,40 @@ mod tests {
     fn decode_phase_is_step_cost_times_tokens() {
         let m = hetero();
         let w = workload(16);
-        let options = DecodeOptions::with_pruning(0.6);
-        let step = m.run_decode_step_on(&w, ClusterKind::MemoryCentric, options);
-        let full = m.run_decode_on(&w, ClusterKind::MemoryCentric, options);
+        let kind = ClusterKind::MemoryCentric;
+        let pruning = PruningEffect::with_keep_ratio(0.6);
+        let step = m.run_ops(Phase::Decode, &w.phase_ops(Phase::Decode), kind, pruning);
+        let full = m.run_phase_on(&w, Phase::Decode, kind, pruning);
         assert_eq!(full.cycles, step.cycles * 16usize);
+        assert_eq!(full.compute_cycles, step.compute_cycles * 16usize);
+        assert_eq!(full.dram_cycles, step.dram_cycles * 16usize);
         assert_eq!(full.dram_bytes, step.dram_bytes * 16usize);
         assert_eq!(full.ops, step.ops * 16);
+        for (class, bytes) in &step.traffic {
+            assert_eq!(full.traffic[class], *bytes * 16usize, "{class:?}");
+        }
+        // The step is the per-op costs at the average context, in order.
+        let costs = m.decode_step_costs_at(&w, kind, pruning, w.average_context_tokens());
+        assert_eq!(costs.len(), step.ops);
+        let cycles: Cycles = costs.iter().map(OpCost::latency_cycles).sum();
+        assert_eq!(cycles, step.cycles);
+    }
+
+    #[test]
+    fn pruning_applies_to_the_decode_phase_only() {
+        let m = hetero();
+        let w = workload(16);
+        let pruning = PruningEffect::with_keep_ratio(0.3);
+        for phase in Phase::ALL {
+            let kind = ClusterKind::ComputeCentric;
+            let dense = m.run_phase_on(&w, phase, kind, PruningEffect::disabled());
+            let pruned = m.run_phase_on(&w, phase, kind, pruning);
+            if phase == Phase::Decode {
+                assert!(pruned.cycles < dense.cycles, "decode ignored pruning");
+            } else {
+                assert_eq!(pruned, dense, "{phase:?} was pruned");
+            }
+        }
     }
 
     #[test]
@@ -701,7 +620,7 @@ mod tests {
             &w,
             Phase::Prefill,
             ClusterKind::ComputeCentric,
-            DecodeOptions::baseline(),
+            PruningEffect::disabled(),
         );
         for budget in [w.prompt_tokens(), w.prompt_tokens() + 1, usize::MAX] {
             let chunks = m.prefill_chunk_costs(&w, ClusterKind::ComputeCentric, budget);
@@ -719,7 +638,7 @@ mod tests {
             &w,
             Phase::Prefill,
             ClusterKind::ComputeCentric,
-            DecodeOptions::baseline(),
+            PruningEffect::disabled(),
         );
         let chunk = 128;
         let chunks = m.prefill_chunk_costs(&w, ClusterKind::ComputeCentric, chunk);
@@ -768,31 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_step_costs_match_step_result() {
-        let m = hetero();
-        let w = workload(8);
-        let costs = m.decode_step_costs(&w, ClusterKind::MemoryCentric, PruningEffect::disabled());
-        let step = m.run_decode_step_on(&w, ClusterKind::MemoryCentric, DecodeOptions::baseline());
-        assert_eq!(costs.len(), step.ops);
-        let cycles: Cycles = costs.iter().map(OpCost::latency_cycles).sum();
-        assert_eq!(cycles, step.cycles);
-    }
-
-    #[test]
-    fn decode_step_costs_are_the_average_context_special_case() {
-        let m = hetero();
-        let w = workload(16);
-        let avg = m.decode_step_costs(&w, ClusterKind::MemoryCentric, PruningEffect::disabled());
-        let at = m.decode_step_costs_at(
-            &w,
-            ClusterKind::MemoryCentric,
-            PruningEffect::disabled(),
-            w.average_context_tokens(),
-        );
-        assert_eq!(avg, at);
-    }
-
-    #[test]
     fn only_kv_ops_vary_with_the_context_length() {
         let m = hetero();
         let w = workload(16);
@@ -812,19 +706,5 @@ mod tests {
         }
         let cycles = |costs: &[OpCost]| costs.iter().map(OpCost::latency_cycles).sum::<Cycles>();
         assert!(cycles(&long) > cycles(&short));
-    }
-
-    #[test]
-    #[should_panic(expected = "batch must be at least 1")]
-    fn zero_batch_rejected() {
-        let m = hetero();
-        m.run_decode_on(
-            &workload(4),
-            ClusterKind::MemoryCentric,
-            DecodeOptions {
-                pruning: PruningEffect::disabled(),
-                batch: 0,
-            },
-        );
     }
 }

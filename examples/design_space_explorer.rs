@@ -6,7 +6,7 @@
 //! Run with `cargo run --example design_space_explorer --release`.
 
 use edgemm::arch::{ChipConfig, CimGeometry, SystolicGeometry};
-use edgemm::sim::{DecodeOptions, Machine, SimConfig};
+use edgemm::sim::{Machine, PruningEffect, SimConfig};
 use edgemm_mllm::{zoo, ModelWorkload};
 
 fn run_point(chip: ChipConfig, workload: &ModelWorkload) -> f64 {
@@ -15,7 +15,7 @@ fn run_point(chip: ChipConfig, workload: &ModelWorkload) -> f64 {
         ..SimConfig::paper_default()
     });
     machine
-        .run_request(workload, DecodeOptions::baseline())
+        .run_request(workload, PruningEffect::disabled())
         .total_seconds()
 }
 
@@ -109,7 +109,7 @@ fn main() {
         config.dram.peak_gib_s = bw;
         let machine = Machine::new(config);
         let latency = machine
-            .run_request(&workload, DecodeOptions::baseline())
+            .run_request(&workload, PruningEffect::disabled())
             .total_seconds();
         println!(
             "  {bw:>5.1} GiB/s: {:>8.2} ms  ({:.2}x vs default)",

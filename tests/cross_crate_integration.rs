@@ -7,7 +7,7 @@ use edgemm::{EdgeMm, RequestOptions};
 use edgemm_arch::ClusterKind;
 use edgemm_baseline::{GpuModel, RooflineDevice, SnitchBaseline};
 use edgemm_mllm::{zoo, ModelWorkload, Phase};
-use edgemm_sim::DecodeOptions;
+use edgemm_sim::PruningEffect;
 
 fn sphinx(output_tokens: usize) -> ModelWorkload {
     ModelWorkload::new(zoo::sphinx_tiny(), 20, output_tokens)
@@ -45,7 +45,7 @@ fn heterogeneous_beats_homogeneous_designs_end_to_end() {
         .machine()
         .run_request_with_assignment(
             &workload,
-            DecodeOptions::baseline(),
+            PruningEffect::disabled(),
             ClusterKind::ComputeCentric,
             ClusterKind::ComputeCentric,
         )
@@ -54,7 +54,7 @@ fn heterogeneous_beats_homogeneous_designs_end_to_end() {
         .machine()
         .run_request_with_assignment(
             &workload,
-            DecodeOptions::baseline(),
+            PruningEffect::disabled(),
             ClusterKind::MemoryCentric,
             ClusterKind::MemoryCentric,
         )
@@ -162,40 +162,4 @@ fn facade_bandwidth_allocation_partitions_the_paper_dram() {
     // the whole interface while the other is idle, so both shares are full.
     let exclusive = BandwidthAllocation::exclusive();
     assert_eq!((exclusive.cc_share, exclusive.mc_share), (1.0, 1.0));
-}
-
-#[test]
-fn facade_decode_options_batching_amortises_weight_traffic() {
-    // `edgemm::sim::DecodeOptions` through the facade: stream-batch decoding
-    // must amortise per-token DRAM traffic without batching the compute away.
-    use edgemm::sim::{DecodeOptions, Machine, SimConfig};
-    let machine = Machine::new(SimConfig::paper_default());
-    let workload = sphinx(32);
-    let kind = edgemm::arch::ClusterKind::MemoryCentric;
-    let single = machine.run_decode_on(&workload, kind, DecodeOptions::baseline());
-    let batched = machine.run_decode_on(
-        &workload,
-        kind,
-        DecodeOptions {
-            batch: 4,
-            ..DecodeOptions::baseline()
-        },
-    );
-    // 4 concurrent requests in fewer than 4x the cycles of one request.
-    assert!(
-        batched.cycles.as_f64() < 4.0 * single.cycles.as_f64(),
-        "batching gained nothing: {} vs 4 x {}",
-        batched.cycles,
-        single.cycles
-    );
-    // And pruning composes with batching: same batch, fewer cycles.
-    let batched_pruned = machine.run_decode_on(
-        &workload,
-        kind,
-        DecodeOptions {
-            batch: 4,
-            ..DecodeOptions::with_pruning(0.3)
-        },
-    );
-    assert!(batched_pruned.cycles < batched.cycles);
 }

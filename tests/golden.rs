@@ -9,7 +9,10 @@
 //! and copy the printed values) *and* call the change out in the PR, so the
 //! reproduction never drifts silently away from the paper.
 
-use edgemm::figures::{fig11_hetero, fig12_pruning, table1_models, table2_gpu_comparison};
+use edgemm::figures::{
+    fig11_hetero, fig12_pruning, fig13_bandwidth, fig2_workload, table1_models,
+    table2_gpu_comparison,
+};
 use edgemm::fleet::FleetCounters;
 use edgemm::serve::{
     merge, AdmissionControl, PolicyKind, Priority, ServeCounters, ServeReport, ServeRequest,
@@ -110,6 +113,74 @@ fn golden_fig12_report_digest() {
         digest, 0x95a0_617c_1e01_5eb6,
         "fig12 report digest drifted to {digest:#018x}"
     );
+}
+
+/// The other paper-facing reports at their report binaries' shapes, pinned
+/// exactly as Fig. 12 is: Fig. 2 for both models, Fig. 11, Fig. 13 and
+/// Table II on SPHINX-Tiny, and the dense and pruned single request
+/// (20 text + 64 output tokens) behind the quickstart. Every per-phase
+/// cycle, byte and speedup enters the `Debug` bytes, so a change to how the
+/// machine prices a phase shows here even where the scalar goldens' ratios
+/// hide it.
+#[test]
+fn golden_paper_report_digests() {
+    let sphinx = zoo::sphinx_tiny();
+    let workload = ModelWorkload::new(sphinx.clone(), 20, 64);
+    let system = EdgeMm::paper_default();
+    let reports: [(&str, String, u64); 7] = [
+        (
+            "fig2.sphinx_tiny",
+            format!("{:?}", fig2_workload(&sphinx, &[16, 64, 256])),
+            0x5457_ff61_b6d3_b0c5,
+        ),
+        (
+            "fig2.karmavlm",
+            format!("{:?}", fig2_workload(&zoo::karmavlm(), &[16, 64, 256])),
+            0x3fe0_c799_9224_f1a0,
+        ),
+        (
+            "fig11",
+            format!("{:?}", fig11_hetero(&sphinx, 64)),
+            0xe6b2_c410_36eb_6217,
+        ),
+        (
+            "fig13",
+            format!(
+                "{:?}",
+                fig13_bandwidth(&sphinx, &[8, 16, 36, 64, 128, 256, 512, 1024])
+            ),
+            0xbc09_da05_d53f_5f29,
+        ),
+        (
+            "table2",
+            format!("{:?}", table2_gpu_comparison(&sphinx, 64)),
+            0xd075_c108_44e2_6a10,
+        ),
+        (
+            "run.dense",
+            format!("{:?}", system.run(&workload, RequestOptions::default())),
+            0xff9d_10aa_43fb_9371,
+        ),
+        (
+            "run.pruned",
+            format!(
+                "{:?}",
+                system.run(&workload, RequestOptions::with_pruning())
+            ),
+            0xc57a_728f_4476_dca1,
+        ),
+    ];
+    for (label, debug, golden) in reports {
+        let digest = edgemm::mem::fnv1a_64(debug.as_bytes());
+        if probing() {
+            println!("paper_digest.{label} = {digest:#018x}");
+        } else {
+            assert_eq!(
+                digest, golden,
+                "paper_digest.{label} drifted to {digest:#018x}"
+            );
+        }
+    }
 }
 
 /// One SLO sweep point, pinned: mixed interactive + background traffic at a

@@ -6,11 +6,12 @@ use edgemm::serve::{
     AdmissionControl, BlockTable, KvPool, PagedKvPool, PolicyKind, ServeConfig, ServeRequest,
     ServeScratch, ServeSimulator, SloClass, TraceConfig,
 };
-use edgemm::sim::{DecodeOptions, Machine, PruningEffect, SimConfig};
+use edgemm::sim::{Machine, PruningEffect, SimConfig};
 use edgemm::units::{Bytes, Tokens};
 use edgemm::{EdgeMm, RequestOptions, RoutingKind, ServeOptions};
 use edgemm_mllm::{
-    zoo, LlmConfig, MllmConfig, ModelWorkload, ProjectorConfig, ProjectorKind, VisionEncoderConfig,
+    zoo, LlmConfig, MllmConfig, ModelWorkload, Phase, ProjectorConfig, ProjectorKind,
+    VisionEncoderConfig,
 };
 use edgemm_serve::Unkeyed;
 use proptest::prelude::*;
@@ -59,14 +60,11 @@ proptest! {
         let machine = Machine::new(SimConfig::paper_default());
         let workload = ModelWorkload::new(zoo::sphinx_tiny(), 20, 4);
         let kind = edgemm::arch::ClusterKind::MemoryCentric;
-        let aggressive = machine.run_decode_on(&workload, kind, DecodeOptions {
-            pruning: PruningEffect::with_keep_ratio(lo),
-            batch: 1,
-        });
-        let mild = machine.run_decode_on(&workload, kind, DecodeOptions {
-            pruning: PruningEffect::with_keep_ratio(hi),
-            batch: 1,
-        });
+        let decode = |keep| {
+            let pruning = PruningEffect::with_keep_ratio(keep);
+            machine.run_phase_on(&workload, Phase::Decode, kind, pruning)
+        };
+        let (aggressive, mild) = (decode(lo), decode(hi));
         prop_assert!(aggressive.cycles <= mild.cycles);
     }
 
@@ -78,7 +76,7 @@ proptest! {
         let large = ChipConfig::builder().groups(groups + 1).build().expect("valid");
         let run = |chip: ChipConfig| {
             Machine::new(SimConfig { chip, ..SimConfig::paper_default() })
-                .run_request(&workload, DecodeOptions::baseline())
+                .run_request(&workload, PruningEffect::disabled())
                 .total_cycles()
         };
         prop_assert!(run(large) <= run(small));
@@ -90,11 +88,11 @@ proptest! {
         let machine = Machine::new(SimConfig::paper_default());
         let short = machine.run_request(
             &ModelWorkload::new(zoo::karmavlm(), 16, tokens),
-            DecodeOptions::baseline(),
+            PruningEffect::disabled(),
         );
         let long = machine.run_request(
             &ModelWorkload::new(zoo::karmavlm(), 16, tokens + 8),
-            DecodeOptions::baseline(),
+            PruningEffect::disabled(),
         );
         prop_assert!(long.total_cycles() > short.total_cycles());
         prop_assert!(long.total_dram_bytes() > short.total_dram_bytes());
